@@ -9,6 +9,7 @@ over the base field.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -129,7 +130,7 @@ def _solve_kernel(builder, ncols, field):
         for row in rows:
             lcm = 1
             for val in row.values():
-                lcm = lcm * val.denominator // _gcd(lcm, val.denominator)
+                lcm = lcm * val.denominator // math.gcd(lcm, val.denominator)
             vec = [0] * ncols
             for c, val in row.items():
                 vec[c] = int(val * lcm)
@@ -142,12 +143,6 @@ def _solve_kernel(builder, ncols, field):
             vec[c] = val
         dense.append(vec)
     return kernel_field(dense, ncols, field)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def hom_space(m, n, degree):

@@ -1,7 +1,9 @@
 """Exact dense linear algebra.
 
 Three layers:
-  * mod-p kernels/rref on numpy int64 arrays (the workhorse for GF(p));
+  * mod-p kernels/rref (the workhorse for GF(p)): at p = 2 rows are packed
+    into bits and eliminated by XOR; odd p runs a row loop on numpy int64
+    arrays;
   * rational kernels via multi-modular reconstruction with exact verification;
   * generic small-field Gaussian elimination for finite-dimensional algebras.
 """
@@ -21,7 +23,18 @@ _MODULAR_PRIMES = (536870909, 536870923, 536871001, 536871017, 536871077,
 
 
 def rref_mod_p(a, p):
-    """Reduced row echelon form in place; returns (matrix, pivot columns)."""
+    """Reduced row echelon form of a mod p; returns (pivot rows, pivot columns).
+
+    The input is not modified.  The pivot rows come back as an int64 array of
+    shape (rank, ncols) with entries in [0, p).
+    """
+    if p == 2:
+        return _rref_gf2(a)
+    return _rref_dense(a, p)
+
+
+def _rref_dense(a, p):
+    """Row loop on a copy of a as int64, for any prime p."""
     a = np.mod(a, p).astype(np.int64)
     nrows, ncols = a.shape
     pivots = []
@@ -52,13 +65,52 @@ def rref_mod_p(a, p):
     return a[:len(pivots)], pivots
 
 
+def _rref_gf2(a):
+    """GF(2) elimination on rows packed into Python ints (bit c = column c).
+
+    The RREF depends only on the row space, so zero and duplicate rows are
+    dropped first.  Rows are inserted sparsest first into a table keyed by
+    their lowest set bit (the pivot), each reduced by XOR against the pivot
+    rows already there; back substitution then runs from the highest pivot
+    down.
+    """
+    ncols = a.shape[1]
+    nbytes = (ncols + 7) // 8
+    packed = np.packbits(np.mod(a, 2).astype(np.uint8), axis=1,
+                         bitorder="little").tobytes()
+    rows = {int.from_bytes(packed[i:i + nbytes], "little")
+            for i in range(0, len(packed), nbytes)} if nbytes else set()
+    rows.discard(0)
+    table = {}
+    for row in sorted(rows, key=lambda x: (x.bit_count(), x)):
+        while row:
+            low = row & -row
+            other = table.get(low)
+            if other is None:
+                table[low] = row
+                break
+            row ^= other
+    lows = sorted(table)
+    pivmask = sum(lows)
+    for low in reversed(lows):
+        row = table[low]
+        above = (row ^ low) & pivmask
+        while above:
+            bit = above & -above
+            row ^= table[bit]
+            above ^= bit
+        table[low] = row
+    out = b"".join(table[low].to_bytes(nbytes, "little") for low in lows)
+    bits = np.frombuffer(out, dtype=np.uint8).reshape(len(lows), nbytes)
+    red = np.unpackbits(bits, axis=1, count=ncols,
+                        bitorder="little").astype(np.int64)
+    return red, [low.bit_length() - 1 for low in lows]
+
+
 def kernel_mod_p(a, p):
     """Canonical kernel basis (one vector per free column, RREF-normalized)."""
     if a.size == 0:
-        ncols = a.shape[1]
-        return [np.zeros(ncols, dtype=np.int64) for _ in range(0)] or [
-            _unit_vec(ncols, i) for i in range(ncols)
-        ]
+        return [_unit_vec(a.shape[1], i) for i in range(a.shape[1])]
     r, pivots = rref_mod_p(a, p)
     ncols = a.shape[1]
     pivset = set(pivots)
@@ -66,10 +118,8 @@ def kernel_mod_p(a, p):
     for f in range(ncols):
         if f in pivset:
             continue
-        v = np.zeros(ncols, dtype=np.int64)
-        v[f] = 1
-        for k, c in enumerate(pivots):
-            v[c] = (-int(r[k, f])) % p
+        v = _unit_vec(ncols, f)
+        v[pivots] = (-r[:, f]) % p
         basis.append(v)
     return basis
 
@@ -95,8 +145,7 @@ def solve_mod_p(a, b, p):
     if ncols in pivots:
         return None
     x = np.zeros(ncols, dtype=np.int64)
-    for k, c in enumerate(pivots):
-        x[c] = int(r[k, ncols])
+    x[pivots] = r[:, ncols]
     return x
 
 
@@ -133,21 +182,22 @@ def kernel_rational(rows):
     ncols = len(rows[0])
     a_int = [list(map(int, row)) for row in rows]
     used = []
-    residues = None
-    free_cols = None
+    best = None
     modulus = 1
     for p in _MODULAR_PRIMES:
         a = np.array([[x % p for x in row] for row in a_int], dtype=np.int64)
         r, pivots = rref_mod_p(a, p)
-        pivset = set(pivots)
-        fc = tuple(c for c in range(ncols) if c not in pivset)
-        if free_cols is None or len(fc) > len(free_cols):
-            # first prime, or previous primes were unlucky (rank too high mod p
-            # can't happen; too low rank mod p means MORE pivots... guard anyway)
-            free_cols = fc
+        # An unlucky prime loses rank or pushes pivots to later columns, so
+        # the lucky pivot list is the longest and then lexicographically
+        # smallest one seen; a better prime discards the residues so far.
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best = key
+            pivset = set(pivots)
+            free_cols = tuple(c for c in range(ncols) if c not in pivset)
             used = [(p, r, pivots)]
             modulus = p
-        elif fc == free_cols:
+        elif key == best:
             used.append((p, r, pivots))
             modulus *= p
         else:

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from affkl import linalg
 from affkl.fields import PrimeField, Rationals
 from affkl.linalg import (
+    _MODULAR_PRIMES,
+    _rref_dense,
     kernel_field,
     kernel_mod_p,
     kernel_rational,
@@ -12,6 +15,7 @@ from affkl.linalg import (
     poly_rank,
     rank_mod_p,
     rref_field,
+    rref_mod_p,
     solve_field,
     solve_mod_p,
     SpanSolver,
@@ -49,6 +53,70 @@ def test_solve_mod_p():
     assert np.all((a @ x - b) % 7 == 0)
     bad = np.array([[1, 1], [1, 1]], dtype=np.int64)
     assert solve_mod_p(bad, np.array([1, 2]), 7) is None
+
+
+def _gf2_cases():
+    """Random integer matrices with zero, duplicate and negative rows."""
+    rng = np.random.default_rng(3)
+    for ncols in (1, 7, 8, 9, 63, 64, 65, 130):
+        yield np.zeros((0, ncols), dtype=np.int64)
+        for nrows in (1, 5, 40, 200):
+            for density in (0.05, 0.3, 0.8):
+                mask = rng.random((nrows, ncols)) < density
+                a = np.where(mask, rng.integers(-7, 8, (nrows, ncols)), 0)
+                if nrows > 3:
+                    a[1] = 0
+                    a[2] = a[0]
+                    a[3] = a[0] + 4
+                yield a.astype(np.int64)
+
+
+def test_rref_mod_2_matches_dense_loop():
+    for a in _gf2_cases():
+        before = a.copy()
+        red, pivots = rref_mod_p(a, 2)
+        ref, ref_pivots = _rref_dense(a, 2)
+        assert np.array_equal(a, before)
+        assert pivots == ref_pivots
+        assert red.shape == ref.shape == (len(pivots), a.shape[1])
+        assert red.dtype == ref.dtype == np.int64
+        assert np.array_equal(red, ref)
+
+
+def test_kernel_rank_solve_mod_2():
+    rng = np.random.default_rng(4)
+    for a in _gf2_cases():
+        ncols = a.shape[1]
+        rank = rank_mod_p(a, 2)
+        basis = kernel_mod_p(a, 2)
+        assert len(basis) == ncols - rank
+        for v in basis:
+            assert v.dtype == np.int64
+            assert np.all((a @ v) % 2 == 0)
+        if a.shape[0] == 0:
+            continue
+        x0 = rng.integers(0, 2, ncols)
+        x = solve_mod_p(a, a @ x0, 2)
+        assert np.all((a @ x - a @ x0) % 2 == 0)
+    a = np.array([[1, 1, 0], [3, -1, 2], [0, 0, 1]], dtype=np.int64)
+    assert rank_mod_p(a, 2) == 2
+    assert solve_mod_p(a, np.array([1, 0, 0]), 2) is None
+    assert solve_mod_p(a, np.array([1, 1, 0]), 2) is not None
+
+
+def test_kernel_mod_p_empty():
+    basis = kernel_mod_p(np.zeros((0, 3), dtype=np.int64), 2)
+    assert [list(v) for v in basis] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_mod_p(np.zeros((2, 0), dtype=np.int64), 5) == []
+
+
+def test_kernel_rational_recovers_from_unlucky_first_prime(monkeypatch):
+    def no_fallback(a_int):
+        raise AssertionError("reached the Fraction fallback")
+
+    monkeypatch.setattr(linalg, "_kernel_fraction", no_fallback)
+    basis = kernel_rational([[_MODULAR_PRIMES[0], 1, 0], [0, 0, 1]])
+    assert basis == [[Fraction(-1), Fraction(_MODULAR_PRIMES[0]), Fraction(0)]]
 
 
 def test_kernel_rational_matches_fraction():
