@@ -33,10 +33,6 @@ class LabeledBimodule:
     def rank(self):
         return len(self.degrees)
 
-    @property
-    def mindeg(self):
-        return min(self.degrees)
-
     def label_map(self):
         return {w: vecs for w, vecs in self.labels}
 

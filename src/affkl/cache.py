@@ -44,10 +44,23 @@ def save_table(table, path):
         ring = table.real.ring
         for w in sorted(table.reps, key=lambda w: (w.length, w.canonical_str())):
             doc["reps"][w.canonical_str()] = bimodule_to_json(table.reps[w], ring)
+    _write_doc(path, doc)
+
+
+def _write_doc(path, doc):
+    """Write doc as JSON to a temporary file beside path, then rename it over
+    path, so a crash mid-write leaves the old document intact."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_table(path, datum=None):
@@ -137,7 +150,5 @@ def gc(path):
     if doc.get("realization_hash") != rhash:
         doc["reps"] = {}
         doc["realization_hash"] = rhash
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_doc(path, doc)
     return {"dropped": before - len(doc["entries"]), "kept": len(doc["entries"])}

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .realization import AssumptionsFailed
 from .rootdata import build_root_datum, check_assumptions, load_root_datum
-from .serialize import parse_element_grammar, render_expansion
+from .serialize import parse_element_grammar
 from .soergel import PCanTable, p_canonical
 from .tilt import mult_table
 from .weyl import omega_elements, simple_reflections
@@ -151,7 +151,7 @@ def cmd_pkl(args):
         y = parse_element_grammar(datum, args.y)
         print(expansion.coeff(y))
     else:
-        print(render_expansion(expansion))
+        print(repr(expansion))
     cachemod.save_table(table, path)
     if args.stats:
         stats = dict(table.stats)

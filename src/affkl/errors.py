@@ -54,9 +54,12 @@ class DegreeOutOfWindow(AffklError):
 
 
 class SplitOverExtensionNeeded(AffklError):
-    """A simple block of the endomorphism algebra lives over an extension field.
+    """A simple block of the endomorphism algebra does not split over GF(p) or Q.
 
-    Carries the extension degree required to split it.
+    affkl computes over GF(p) and Q only: the p-canonical basis depends only
+    on p, so End^0(B_w)/rad is the base field and this error signals a fault,
+    not a missing feature.  Carries the extension degree the block needs
+    (0 when unknown).
     """
 
     def __init__(self, degree, message=""):

@@ -4,7 +4,7 @@ The algebra is given by structure constants over a field object.  The radical
 in characteristic p follows the characteristic-polynomial-coefficient chain
 (trace-form shortcuts fail when p divides dimensions); idempotents of the
 semisimple quotient are found via the center (Frobenius-fixed subalgebra over
-finite fields, minimal-polynomial factorization over Q) and block splitting,
+GF(p), minimal-polynomial factorization over Q) and block splitting,
 then lifted through the radical by Newton iteration.
 """
 
@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from . import upoly
 from .errors import SolverError, SplitOverExtensionNeeded
-from .fields import ExtField, PrimeField, Rationals
-from .linalg import kernel_field, rref_field, SpanSolver
+from .fields import Rationals
+from .linalg import kernel_field, rref_field
 
 
 class FDAlgebra:
@@ -73,9 +73,7 @@ class FDAlgebra:
     def radical(self):
         if self.field.char == 0:
             return self._radical_char0()
-        if isinstance(self.field, ExtField):
-            return self._radical_restricted()
-        return self._radical_charp(self, None)
+        return self._radical_charp()
 
     def _radical_char0(self):
         fld = self.field
@@ -99,19 +97,15 @@ class FDAlgebra:
             gram.append(row)
         return kernel_field(gram, self.dim, fld)
 
-    def _radical_charp(self, alg, _):
-        """Characteristic-polynomial-coefficient chain over a prime field."""
-        fld = self.field
-        p = fld.char
+    def _radical_charp(self):
+        """Characteristic-polynomial-coefficient chain over GF(p)."""
         space = [self.basis_vec(i) for i in range(self.dim)]
-        i = 0
         ppow = 1
         while ppow <= self.dim:
             space = self._charp_step(space, ppow)
             if not space:
                 return []
-            i += 1
-            ppow *= p
+            ppow *= self.field.char
         return space
 
     def _charp_step(self, space, ppow):
@@ -151,7 +145,7 @@ class FDAlgebra:
                     idx = self.dim - ppow
                     row.append(coeffs[idx] if 0 <= idx < len(coeffs) else fld.zero)
                 vals.append(row)
-        # semilinear in the first argument: over the prime field this is linear
+        # semilinear in the first argument: over GF(p) this is linear
         kern = kernel_field(
             [[vals[i][j] for i in range(len(space))] for j in range(len(space))],
             len(space), fld)
@@ -163,51 +157,6 @@ class FDAlgebra:
                     vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, u)]
             out.append(vec)
         return out
-
-    def _radical_restricted(self):
-        """Radical over GF(p^d) by restriction of scalars to GF(p)."""
-        ext = self.field
-        p = ext.char
-        d = ext.degree
-        base = PrimeField(p)
-        gens = []
-        gpow = ext.one
-        g = tuple([0, 1] + [0] * (d - 2)) if d >= 2 else ext.one
-        for t in range(d):
-            gens.append(gpow)
-            gpow = ext.mul(gpow, g)
-        # basis of the restricted algebra: b_i * g^t
-        idx = [(i, t) for i in range(self.dim) for t in range(d)]
-        table = []
-        for (i, t) in idx:
-            row = []
-            xi = self.smul(gens[t], self.basis_vec(i))
-            for (j, u) in idx:
-                yj = self.smul(gens[u], self.basis_vec(j))
-                prod = self.mul(xi, yj)
-                coords = []
-                for k in range(self.dim):
-                    for s in range(d):
-                        coords.append(prod[k][s] % p)
-                row.append(coords)
-            table.append(row)
-        unit = []
-        for k in range(self.dim):
-            for s in range(d):
-                unit.append(self.unit[k][s] % p)
-        restricted = FDAlgebra(base, table, unit)
-        rad_fp = restricted.radical()
-        # map back to k-vectors and take a k-basis
-        vecs = []
-        for v in rad_fp:
-            kvec = []
-            for k in range(self.dim):
-                kvec.append(tuple(v[k * d + s] % p for s in range(d)))
-            vecs.append(kvec)
-        if not vecs:
-            return []
-        red, pivots = rref_field(vecs, ext)
-        return [list(r) for r in red]
 
     # -- idempotents -------------------------------------------------------------
 
@@ -386,14 +335,13 @@ def _central_primitives(quo):
 
 
 def _frobenius_fixed(quo, center_basis):
-    """Basis of {z in center : z^q = z} (spanned by the block units)."""
+    """Basis of {z in center : z^p = z} (spanned by the block units)."""
     fld = quo.field
-    q = fld.order
     m = len(center_basis)
     cols = []
     for v in center_basis:
-        zq = _alg_pow(quo, v, q)
-        sol = SpanSolverSafe(center_basis, fld).coords(zq)
+        zp = _alg_pow(quo, v, fld.char)
+        sol = SpanSolverSafe(center_basis, fld).coords(zp)
         if sol is None:
             raise SolverError("center is not closed under Frobenius?")
         cols.append(sol)
@@ -591,7 +539,7 @@ def _try_split_once(quo, f, corner, rng):
     for _ in range(24):
         z = [fld.zero] * quo.dim
         for b in corner:
-            c = fld.from_int(rng.randrange(0, max(3, (fld.order or 7))))
+            c = fld.from_int(rng.randrange(0, max(3, fld.char or 7)))
             z = [fld.add(a, fld.mul(c, x)) for a, x in zip(z, b)]
         candidates.append(z)
     for z in candidates:

@@ -1,9 +1,10 @@
-"""Coefficient fields: rationals, prime fields, and small extensions.
+"""Coefficient fields: the rationals and the prime fields GF(p).
 
-Field elements are plain hashable Python values (Fraction, int, or tuple),
-with arithmetic routed through the field object.  This keeps polynomial
-dictionaries light and lets the mod-p linear algebra hand coefficients to
-numpy directly.
+The p-canonical basis depends only on the characteristic p, so these two
+are all the coefficients affkl needs.  Field elements are plain hashable
+Python values (Fraction over Q, int in [0, p) over GF(p)), with arithmetic
+routed through the field object.  This keeps polynomial dictionaries light
+and lets the mod-p linear algebra hand coefficients to numpy directly.
 """
 
 from fractions import Fraction
@@ -11,7 +12,6 @@ from fractions import Fraction
 
 class Rationals:
     char = 0
-    order = None
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -53,7 +53,6 @@ class Rationals:
 class PrimeField:
     def __init__(self, p):
         self.char = p
-        self.order = p
         self.zero = 0
         self.one = 1 % p
 
@@ -84,9 +83,6 @@ class PrimeField:
     def parse(self, s):
         return int(s) % self.char
 
-    def elements(self):
-        return range(self.char)
-
     def describe(self):
         return f"GF({self.char})"
 
@@ -94,118 +90,5 @@ class PrimeField:
         return f"GF({self.char})"
 
 
-class ExtField:
-    """GF(p^d) as polynomials modulo a fixed irreducible; elements are tuples."""
-
-    def __init__(self, p, d, modulus=None):
-        self.char = p
-        self.degree = d
-        self.order = p ** d
-        self.base = PrimeField(p)
-        self.modulus = modulus or _find_irreducible(p, d)
-        self.zero = (0,) * d
-        self.one = tuple([1] + [0] * (d - 1))
-
-    def from_int(self, n):
-        return tuple([n % self.char] + [0] * (self.degree - 1))
-
-    def add(self, a, b):
-        return tuple((x + y) % self.char for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.char for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.char for x in a)
-
-    def mul(self, a, b):
-        p, d = self.char, self.degree
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the monic modulus (degree d)
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, m in enumerate(self.modulus[:-1]):
-                    prod[i - d + j] = (prod[i - d + j] - c * m) % p
-        return tuple(prod[:d])
-
-    def inv(self, a):
-        return self.pow(a, self.order - 2)
-
-    def pow(self, a, n):
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def is_zero(self, a):
-        return all(x % self.char == 0 for x in a)
-
-    def to_str(self, a):
-        return "(" + ",".join(str(x) for x in a) + ")"
-
-    def parse(self, s):
-        return tuple(int(x) for x in s.strip("()").split(","))
-
-    def elements(self):
-        from itertools import product
-        for tup in product(range(self.char), repeat=self.degree):
-            yield tuple(tup)
-
-    def describe(self):
-        return f"GF({self.char}^{self.degree};{list(self.modulus)})"
-
-    def __repr__(self):
-        return f"GF({self.char}^{self.degree})"
-
-
-def _find_irreducible(p, d):
-    """First monic irreducible of degree d over GF(p), by coefficient order."""
-    from itertools import product
-
-    def poly_mod(f, g):
-        f = list(f)
-        while len(f) >= len(g):
-            c = f[-1] % p
-            if c:
-                off = len(f) - len(g)
-                for i, x in enumerate(g):
-                    f[off + i] = (f[off + i] - c * x) % p
-            while f and f[-1] % p == 0:
-                f.pop()
-            if not f:
-                break
-        return f
-
-    def is_irreducible(coeffs):
-        # trial division by monic polys of degree <= d // 2
-        if coeffs[0] == 0:
-            return False
-        for deg in range(1, d // 2 + 1):
-            for tail in product(range(p), repeat=deg):
-                g = list(tail) + [1]
-                if not poly_mod(list(coeffs) + [1], g):
-                    return False
-        return True
-
-    for tail in product(range(p), repeat=d):
-        if is_irreducible(tail):
-            return tuple(list(tail) + [1])
-    raise RuntimeError("no irreducible found")
-
-
-def field_for(char, degree=1):
-    if char == 0:
-        return Rationals()
-    if degree == 1:
-        return PrimeField(char)
-    return ExtField(char, degree)
+def field_for(char):
+    return PrimeField(char) if char else Rationals()

@@ -9,15 +9,10 @@ over the base field.
 """
 
 import itertools
-import math
-from fractions import Fraction
-
-import numpy as np
 
 from .errors import DegreeOutOfWindow
-from .fields import PrimeField, Rationals
 from .laurent import LaurentPoly
-from .linalg import kernel_field, kernel_mod_p, kernel_rational, rank_mod_p
+from .linalg import kernel, rank, solve
 
 
 def monomials_of_degree(nvars, deg):
@@ -71,22 +66,20 @@ class SlotMap:
     def unflatten(self, vec, nrows, ncols):
         mats = [[{} for _ in range(ncols)] for _ in range(nrows)]
         fld = self.ring.field
-        for idx, (i, j, mono) in enumerate(self.slots):
-            c = vec[idx]
-            if isinstance(c, (int, np.integer)) and not isinstance(fld, Rationals):
-                c = fld.from_int(int(c))
-            elif isinstance(c, (int, np.integer)):
-                c = Fraction(int(c))
+        for (i, j, mono), c in zip(self.slots, vec):
             if not fld.is_zero(c):
                 mats[i][j][mono] = c
         return mats
 
 
 class _EqBuilder:
-    def __init__(self, field, ncols):
+    """Sparse equations {column: coefficient} keyed by an equation id, with
+    optional right-hand sides."""
+
+    def __init__(self, field):
         self.field = field
-        self.ncols = ncols
         self.rows = {}
+        self.rhs = {}
 
     def add(self, eq_key, col, coeff):
         if self.field.is_zero(coeff):
@@ -98,51 +91,14 @@ class _EqBuilder:
         else:
             row[col] = s
 
-    def dense_rows(self):
-        out = []
-        for key in sorted(self.rows, key=repr):
-            row = self.rows[key]
-            if row:
-                out.append(row)
-        return out
+    def set_rhs(self, eq_key, value):
+        self.rhs[eq_key] = value
 
-
-def _solve_kernel(builder, ncols, field):
-    rows = builder.dense_rows()
-    if ncols == 0:
-        return []
-    if not rows:
-        # no constraints: full space
-        eye = []
-        for i in range(ncols):
-            v = [field.zero] * ncols
-            v[i] = field.one
-            eye.append(v)
-        return eye
-    if isinstance(field, PrimeField):
-        mat = np.zeros((len(rows), ncols), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for c, val in row.items():
-                mat[r, c] = val
-        return [list(v) for v in kernel_mod_p(mat, field.char)]
-    if isinstance(field, Rationals):
-        dense = []
-        for row in rows:
-            lcm = 1
-            for val in row.values():
-                lcm = lcm * val.denominator // math.gcd(lcm, val.denominator)
-            vec = [0] * ncols
-            for c, val in row.items():
-                vec[c] = int(val * lcm)
-            dense.append(vec)
-        return kernel_rational(dense)
-    dense = []
-    for row in rows:
-        vec = [field.zero] * ncols
-        for c, val in row.items():
-            vec[c] = val
-        dense.append(vec)
-    return kernel_field(dense, ncols, field)
+    def system(self):
+        """Rows and right-hand sides, one pair per equation id."""
+        keys = list(self.rows) + [k for k in self.rhs if k not in self.rows]
+        return ([self.rows.get(k, {}) for k in keys],
+                [self.rhs.get(k, self.field.zero) for k in keys])
 
 
 def hom_space(m, n, degree):
@@ -156,7 +112,7 @@ def hom_space(m, n, degree):
     slots = SlotMap(ring, n.degrees, m.degrees, degree)
     if slots.size == 0:
         return []
-    eqs = _EqBuilder(fld, slots.size)
+    eqs = _EqBuilder(fld)
     # intertwining: P A_g = B_g P for every generator g
     for g in range(m.real.dim):
         a = m.act[g]
@@ -204,8 +160,8 @@ def hom_space(m, n, degree):
                                 key = ("lbl", lw, xi, ci,
                                        tuple(a + b for a, b in zip(mono, qm)))
                                 eqs.add(key, col, qc)
-    kernel = _solve_kernel(eqs, slots.size, fld)
-    return [slots.unflatten(v, n.rank, m.rank) for v in kernel]
+    return [slots.unflatten(v, n.rank, m.rank)
+            for v in kernel(list(eqs.rows.values()), slots.size, fld)]
 
 
 def graded_hom_dims(m, n, extra=2):
@@ -243,13 +199,9 @@ def _image_rank(m, n, prev_basis, d):
         for g in range(ring.nvars):
             xi = ring.gen(g)
             scaled = [[ring.mul(xi, e) if e else {} for e in row] for row in phi]
-            rows.append(slots.flatten(scaled))
-    if isinstance(fld, PrimeField):
-        mat = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
-        return rank_mod_p(mat, fld.char)
-    from .linalg import rref_field
-    _, pivots = rref_field(rows, fld)
-    return len(pivots)
+            rows.append({c: x for c, x in enumerate(slots.flatten(scaled))
+                         if not fld.is_zero(x)})
+    return rank(rows, slots.size, fld)
 
 
 def solve_in_basis(columns, col_degrees, rhs, rhs_degree, ring):
@@ -269,19 +221,7 @@ def solve_in_basis(columns, col_degrees, rhs, rhs_degree, ring):
         for mono in monos:
             index[(l, mono)] = len(unknowns)
             unknowns.append((l, mono))
-    eqs = {}
-
-    def add(eq_key, col, coeff):
-        if fld.is_zero(coeff):
-            return
-        row = eqs.setdefault(eq_key, {})
-        s = fld.add(row.get(col, fld.zero), coeff)
-        if fld.is_zero(s):
-            row.pop(col, None)
-        else:
-            row[col] = s
-
-    rhs_map = {}
+    eqs = _EqBuilder(fld)
     for i in range(nrows):
         for l, mono in unknowns:
             entry = columns[l][i]
@@ -289,37 +229,13 @@ def solve_in_basis(columns, col_degrees, rhs, rhs_degree, ring):
                 continue
             col = index[(l, mono)]
             for em, ec in entry.items():
-                add((i, tuple(a + b for a, b in zip(mono, em))), col, ec)
-        if rhs[i]:
-            for rm, rc in rhs[i].items():
-                rhs_map[(i, rm)] = rc
-    keys = sorted(set(eqs) | set(rhs_map), key=repr)
-    ncols = len(unknowns)
-    if isinstance(fld, PrimeField):
-        a = np.zeros((len(keys), ncols), dtype=np.int64)
-        b = np.zeros(len(keys), dtype=np.int64)
-        for r, key in enumerate(keys):
-            for c, val in eqs.get(key, {}).items():
-                a[r, c] = val
-            b[r] = int(rhs_map.get(key, 0))
-        from .linalg import solve_mod_p
-        sol = solve_mod_p(a, b, fld.char)
-        if sol is None:
-            return None
-        sol = [fld.from_int(int(x)) for x in sol]
-    else:
-        rows = []
-        rvec = []
-        for key in keys:
-            row = [fld.zero] * ncols
-            for c, val in eqs.get(key, {}).items():
-                row[c] = val
-            rows.append(row)
-            rvec.append(rhs_map.get(key, fld.zero))
-        from .linalg import solve_field
-        sol = solve_field(rows, rvec, fld) if rows else [fld.zero] * ncols
-        if sol is None:
-            return None
+                eqs.add((i, tuple(a + b for a, b in zip(mono, em))), col, ec)
+        for rm, rc in rhs[i].items():
+            eqs.set_rhs((i, rm), rc)
+    rows, values = eqs.system()
+    sol = solve(rows, values, len(unknowns), fld)
+    if sol is None:
+        return None
     out = [{} for _ in col_degrees]
     for (l, mono), idx in index.items():
         c = sol[idx]

@@ -1,11 +1,21 @@
-"""Exact dense linear algebra.
+"""Exact linear algebra over GF(p) and Q.
 
-Three layers:
-  * mod-p kernels/rref (the workhorse for GF(p)): at p = 2 rows are packed
-    into bits and eliminated by XOR; odd p runs a row loop on numpy int64
-    arrays;
-  * rational kernels via multi-modular reconstruction with exact verification;
-  * generic small-field Gaussian elimination for finite-dimensional algebras.
+The solvers call one sparse API: `kernel`, `rank` and `solve` take rows as
+{column: value} dicts over a field object and return field elements (ints
+over GF(p), Fractions over Q).  They are the only place that picks a
+backend per field:
+  * GF(p): the numpy `*_mod_p` functions; at p = 2 rows are packed into bits
+    and eliminated by XOR, odd p runs a row loop on int64 arrays;
+  * Q: kernels by multi-modular reconstruction with exact verification
+    (`kernel_rational`, on rows with cleared denominators); rank and solve
+    by elimination over the field (`rref_field`, `solve_field`).
+Every answer is read off the reduced row echelon form, so it depends only on
+the row space: neither row order nor duplicate rows change it.
+
+The dense backends stay public.  Generic elimination over a field object
+(`rref_field`, `kernel_field`, `SpanSolver`) also serves the small
+finite-dimensional algebras, and fraction-free elimination (`poly_rank`,
+`poly_kernel`) works over a polynomial ring.
 """
 
 import math
@@ -17,6 +27,75 @@ from .errors import SolverError
 
 _MODULAR_PRIMES = (536870909, 536870923, 536871001, 536871017, 536871077,
                    536871133, 536871161, 536871199, 536871209, 536871239)
+
+
+# -- the sparse API ----------------------------------------------------------
+
+
+def kernel(rows, ncols, field):
+    """Kernel basis of a sparse system, one vector per free column.
+
+    Over GF(p) each vector is RREF-normalized (1 at its free column); over Q
+    it is scaled to integer entries with no common denominator.
+    """
+    rows = [row for row in rows if row]
+    if not rows:
+        return [[field.one if j == i else field.zero for j in range(ncols)]
+                for i in range(ncols)]
+    if field.char:
+        return [v.tolist()
+                for v in kernel_mod_p(_int64_matrix(rows, ncols), field.char)]
+    return kernel_rational([_integral_row(row, ncols) for row in rows])
+
+
+def rank(rows, ncols, field):
+    """Rank of a sparse system."""
+    rows = [row for row in rows if row]
+    if not rows:
+        return 0
+    if field.char:
+        return rank_mod_p(_int64_matrix(rows, ncols), field.char)
+    return len(rref_field([_dense_row(row, ncols, field) for row in rows],
+                          field)[1])
+
+
+def solve(rows, rhs, ncols, field):
+    """One solution of rows * x = rhs (one rhs value per row), or None.
+
+    Free columns are set to zero.
+    """
+    if field.char:
+        x = solve_mod_p(_int64_matrix(rows, ncols),
+                        np.array(rhs, dtype=np.int64), field.char)
+        return None if x is None else x.tolist()
+    if not rows:
+        return [field.zero] * ncols
+    return solve_field([_dense_row(row, ncols, field) for row in rows], rhs,
+                       field)
+
+
+def _int64_matrix(rows, ncols):
+    a = np.zeros((len(rows), ncols), dtype=np.int64)
+    a[[r for r, row in enumerate(rows) for _ in row],
+      [c for row in rows for c in row]] = [v for row in rows
+                                           for v in row.values()]
+    return a
+
+
+def _integral_row(row, ncols):
+    """Dense integer multiple of a rational row."""
+    lcm = math.lcm(*(val.denominator for val in row.values()))
+    vec = [0] * ncols
+    for c, val in row.items():
+        vec[c] = int(val * lcm)
+    return vec
+
+
+def _dense_row(row, ncols, field):
+    vec = [field.zero] * ncols
+    for c, val in row.items():
+        vec[c] = val
+    return vec
 
 
 # -- GF(p), numpy ------------------------------------------------------------
@@ -298,11 +377,11 @@ def _kernel_fraction(a_int):
     return out
 
 
-# -- generic small-field elimination ------------------------------------------
+# -- elimination over a field object ------------------------------------------
 
 
 def rref_field(rows, field):
-    """RREF over an arbitrary field object; returns (rows, pivots)."""
+    """RREF over a field object (GF(p) or Q); returns (rows, pivots)."""
     rows = [list(r) for r in rows]
     if not rows:
         return rows, []

@@ -3,7 +3,7 @@
 A polynomial is a dict {exponent tuple: nonzero field element}.  Variables
 sit in grading degree 2, so a monomial of exponent sum e has degree 2e.
 The ring carries the field and the variable count; all arithmetic goes
-through PolyRing methods so the same code runs over Q and GF(p^d).
+through PolyRing methods so the same code runs over Q and GF(p).
 """
 
 from .errors import SolverError

@@ -78,8 +78,8 @@ class Realization:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def build_realization(datum, char, degree=1, check=False, override=False):
-    """Deterministic realization over GF(char^degree) or Q (char=0).
+def build_realization(datum, char, check=False, override=False):
+    """Deterministic realization over GF(char), or over Q when char=0.
 
     delta_s is the least standard-basis solution of <x, cov_s> = 1.  With
     check=True the standing assumptions are enforced for char > 0 unless
@@ -91,7 +91,7 @@ def build_realization(datum, char, degree=1, check=False, override=False):
             raise AssumptionsFailed(
                 f"assumptions fail for {datum.name or datum.fingerprint} "
                 f"at p={char}:\n{report.render()}")
-    field = field_for(char, degree)
+    field = field_for(char)
     refls = simple_reflections(datum, conj_search=False)
     alpha_vec, cov_vec, delta_vec = [], [], []
     for s in refls:

@@ -6,10 +6,6 @@ from .laurent import LaurentPoly
 from .weyl import element_from_word, simple_reflections, translation, wid
 
 
-def element_to_str(x):
-    return x.canonical_str()
-
-
 def element_from_str(datum, s):
     """Inverse of ExtWeylElt.canonical_str."""
     try:
@@ -93,22 +89,3 @@ def parse_element_grammar(datum, text):
         word.append(idx)
     return element_from_word(datum, word, omega=omega)
 
-
-def render_expansion(h):
-    """Printable basis expansion, descending Bruhat-compatible order."""
-    from .hecke import _display
-
-    if not h.terms:
-        return "0"
-    keys = sorted(h.terms, key=lambda w: (-w.length, w.canonical_str()))
-    parts = []
-    for w in keys:
-        p = h.terms[w]
-        label = "H[" + _display(w) + "]"
-        if p == LaurentPoly.const(1):
-            parts.append(label)
-        elif len(p.coeffs) == 1:
-            parts.append(f"{p}*{label}")
-        else:
-            parts.append(f"({p})*{label}")
-    return " + ".join(parts)

@@ -191,7 +191,7 @@ class PCanTable:
     0 only) fills entries from the canonical-basis recursion instead.
     """
 
-    def __init__(self, datum, char, source="soergel", realization=None, degree=1):
+    def __init__(self, datum, char, source="soergel", realization=None):
         if source not in ("soergel", "kl"):
             raise ValueError(source)
         if source == "kl" and char != 0:
@@ -201,7 +201,7 @@ class PCanTable:
         self.source = source
         self.real = realization
         if source == "soergel" and self.real is None:
-            self.real = build_realization(datum, char, degree=degree)
+            self.real = build_realization(datum, char)
         self.entries = {}
         self.reps = {}
         self.stats = {"computed": 0, "cache_hits": 0}

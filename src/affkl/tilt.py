@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import NegativeMultiplicity, NotMinimalRep, SupportIncomplete
 from .soergel import p_canonical, p_kl
-from .weyl import (
-    finitary_data_over,
-    is_min_double_coset_rep,
-    longest_element,
-    wid,
-)
+from .weyl import finitary_data_over, is_min_double_coset_rep, longest_element
 
 
 def tilt_mult(w, y, table):
@@ -61,17 +56,30 @@ def parabolic_tilt_mult(L, K, w, y, table, strict=True):
     """
     datum = table.datum
     wl = longest_element(datum, L)
-    wk = longest_element(datum, K)
+    wk_elements, wk = finitary_data_over(datum, K)
     if strict:
-        for x in (w, y):
-            if not is_min_double_coset_rep(L, K, x, wl=wl, wk=wk):
-                raise NotMinimalRep(f"{x} is not in the minimal coset set")
-    wk_elements, _ = finitary_data_over(datum, K)
-    target = p_canonical(wl * w, table)
+        _check_min_reps(L, K, (w, y), wl, wk)
+    return _parabolic_mult(w, y, p_canonical(wl * w, table), wk_elements)
+
+
+def _check_min_reps(L, K, elements, wl, wk):
+    for x in elements:
+        if not is_min_double_coset_rep(L, K, x, wl=wl, wk=wk):
+            raise NotMinimalRep(f"{x} is not in the minimal coset set")
+
+
+def _signed_sum(target, y, wk_elements):
+    """Sum over x in W_K of (-1)^l(x) * (target's coefficient at y x)(1)."""
     total = 0
     for x in wk_elements:
         val = target.coeff(y * x).eval_at_one()
         total += -val if x.length % 2 else val
+    return total
+
+
+def _parabolic_mult(w, y, target, wk_elements):
+    """The signed sum at y of target = p-b_{w_L w}, which must be >= 0."""
+    total = _signed_sum(target, y, wk_elements)
     if total < 0:
         raise NegativeMultiplicity(
             f"signed sum for ({w}, {y}) came out {total}")
@@ -163,13 +171,14 @@ def mult_table(L, K, max_len, table, sector="waff_only", omegas=None,
     from .weyl import min_double_coset_reps
 
     datum = table.datum
-    wl = longest_element(datum, L)
+    wl_elements, wl = finitary_data_over(datum, L)
+    wk_elements, wk = finitary_data_over(datum, K)
     reps = [
         w for w in min_double_coset_reps(L, K, max_len, datum=datum,
                                          sector=sector, omegas=omegas)
         if (wl * w).length <= max_len
     ]
-    wl_elements, _ = finitary_data_over(datum, L)
+    _check_min_reps(L, K, reps, wl, wk)
     out = MultTable(
         datum_fingerprint=datum.fingerprint,
         characteristic=table.char,
@@ -181,26 +190,15 @@ def mult_table(L, K, max_len, table, sector="waff_only", omegas=None,
     out.row_order = tuple(reps)
     out.col_order = tuple(reps)
     for w in reps:
+        target = p_canonical(wl * w, table)
         for y in reps:
-            m = parabolic_tilt_mult(L, K, w, y, table)
+            m = _parabolic_mult(w, y, target, wk_elements)
             if check_z_independence and L:
                 for z in wl_elements:
-                    alt = _signed_sum_with_left(L, K, w, z * y, table)
+                    alt = _signed_sum(target, z * y, wk_elements)
                     if alt != m:
                         raise NegativeMultiplicity(
                             f"left-coset sweep broke at z={z}: {alt} != {m}")
             if m:
                 out.entries[(w, y)] = m
     return out
-
-
-def _signed_sum_with_left(L, K, w, zy, table):
-    datum = table.datum
-    wl = longest_element(datum, L)
-    wk_elements, _ = finitary_data_over(datum, K)
-    target = p_canonical(wl * w, table)
-    total = 0
-    for x in wk_elements:
-        val = target.coeff(zy * x).eval_at_one()
-        total += -val if x.length % 2 else val
-    return total

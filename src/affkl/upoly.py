@@ -89,29 +89,10 @@ def derivative(field, f):
     return trim(field, out)
 
 
-def pth_root(field, f, p):
-    """p-th root of f = g(x^p); valid over GF(p^d) (coefficient roots exist)."""
-    out = []
-    q = field.order
-    for i in range(0, len(f), p):
-        c = f[i]
-        # c^(q/p) is the p-th root in GF(q)
-        root = c
-        e = q // p
-        root = _field_pow(field, c, e)
-        out.append(root)
-    return trim(field, out)
-
-
-def _field_pow(field, a, n):
-    out = field.one
-    base = a
-    while n:
-        if n & 1:
-            out = field.mul(out, base)
-        base = field.mul(base, base)
-        n >>= 1
-    return out
+def pth_root(field, f):
+    """p-th root of f = g(x^p) over GF(p): g itself, the coefficients of f at
+    multiples of p, since g(x)^p = g(x^p) when every coefficient has c^p = c."""
+    return trim(field, f[::field.char])
 
 
 def squarefree_decomposition(field, f):
@@ -132,7 +113,7 @@ def squarefree_decomposition(field, f):
         d = derivative(field, poly)
         if not d:
             # poly = h(x^p)
-            recurse(pth_root(field, poly, p), mult_scale * p)
+            recurse(pth_root(field, poly), mult_scale * p)
             return
         a = gcd(field, poly, d)
         w, _ = divmod_poly(field, poly, a)
@@ -167,20 +148,8 @@ def squarefree_decomposition(field, f):
     return out
 
 
-def roots_in_field(field, f):
-    """All roots of f in the (finite or trial-listed) field."""
-    out = []
-    for a in field.elements():
-        val = field.zero
-        for c in reversed(f):
-            val = field.add(field.mul(val, a), c)
-        if field.is_zero(val):
-            out.append(a)
-    return out
-
-
 def frobenius_factor_split(field, g):
-    """For squarefree g over a finite field, find a proper monic factor or None.
+    """For squarefree g over GF(p), find a proper monic factor or None.
 
     Berlekamp: a nonconstant element of the Frobenius-fixed subalgebra of
     k[x]/g yields a split via gcds with shifts.
@@ -188,14 +157,13 @@ def frobenius_factor_split(field, g):
     n = len(g) - 1
     if n <= 1:
         return None
-    q = field.order
-    # matrix of x -> x^q mod g on the basis 1, x, ..., x^{n-1}
-    xq = _xpow_mod(field, q, g)
+    # matrix of x -> x^p mod g on the basis 1, x, ..., x^{n-1}
+    xp = _xpow_mod(field, field.char, g)
     cols = []
     cur = [field.one]
     for i in range(n):
         cols.append(cur + [field.zero] * (n - len(cur)))
-        cur = _mul_mod(field, cur, xq, g)
+        cur = _mul_mod(field, cur, xp, g)
     from .linalg import kernel_field
     rows = []
     for r in range(n):
@@ -211,7 +179,7 @@ def frobenius_factor_split(field, g):
         h = trim(field, list(vec))
         if len(h) <= 1:
             continue
-        for a in field.elements():
+        for a in range(field.char):
             shifted = sub(field, h, [a])
             d = gcd(field, g, shifted)
             if 1 < len(d) < len(g):

@@ -148,3 +148,25 @@ def test_cli_datum_file(gl2, run_cli, tmp_path):
     path.write_text(json.dumps(doc))
     r = run_cli(["check", "--datum-file", str(path), "--p", "3"])
     assert r.returncode == 0
+
+
+def test_failed_write_keeps_old_document(gl2, tmp_path, monkeypatch):
+    table = PCanTable(gl2, 2)
+    for u in enumerate_elements(gl2, 2):
+        table.ensure(u)
+    path = tmp_path / "cache.json"
+    cachemod.save_table(table, str(path))
+    old = path.read_bytes()
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write('{"format": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cachemod.json, "dump", dump_then_fail)
+    table.ensure(enumerate_elements(gl2, 3)[-1])
+    for write in (lambda: cachemod.save_table(table, str(path)),
+                  lambda: cachemod.gc(str(path))):
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]

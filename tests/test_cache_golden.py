@@ -1,0 +1,29 @@
+"""Saved cache documents, byte for byte, against committed golden files.
+
+The goldens in tests/data pin the stored expansions and the stored
+representative bimodules, which later computations load and build on.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from affkl import build_root_datum
+from affkl import cache as cachemod
+from affkl.soergel import PCanTable
+from affkl.weyl import enumerate_elements
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("name,p,max_len", [
+    ("GL2", 2, 3), ("GL2", 3, 3), ("GL3", 2, 2), ("A2-sc", 0, 2)])
+def test_saved_document_matches_golden(name, p, max_len, tmp_path):
+    datum = build_root_datum(name)
+    table = PCanTable(datum, p)
+    for u in enumerate_elements(datum, max_len):
+        table.ensure(u)
+    path = tmp_path / "cache.json"
+    cachemod.save_table(table, str(path))
+    golden = DATA / f"cache_{name}_p{p}_len{max_len}.json"
+    assert path.read_bytes() == golden.read_bytes()

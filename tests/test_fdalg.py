@@ -5,7 +5,7 @@ import pytest
 from affkl import upoly
 from affkl.errors import SplitOverExtensionNeeded
 from affkl.fdalg import FDAlgebra, _charpoly
-from affkl.fields import ExtField, PrimeField, Rationals
+from affkl.fields import PrimeField, Rationals
 
 
 def _algebra_from_mats(field, mats):
@@ -145,7 +145,6 @@ def test_idempotents_local_algebra():
 def test_extension_detected():
     # GF(4) as a 2-dim F_2-algebra: the block center is a proper extension
     f2 = PrimeField(2)
-    gf4 = ExtField(2, 2)
     one = [[f2.one, f2.zero], [f2.zero, f2.one]]
     # companion matrix of x^2 + x + 1
     g = [[f2.zero, f2.one], [f2.one, f2.one]]
@@ -153,13 +152,6 @@ def test_extension_detected():
     with pytest.raises(SplitOverExtensionNeeded) as exc:
         alg.complete_primitive_idempotents()
     assert exc.value.degree == 2
-
-
-def test_radical_over_extension_field():
-    gf4 = ExtField(2, 2)
-    alg = _dual_numbers(gf4)
-    rad = alg.radical()
-    assert len(rad) == 1
 
 
 def test_charpoly():

@@ -8,14 +8,17 @@ from affkl.fields import PrimeField, Rationals
 from affkl.linalg import (
     _MODULAR_PRIMES,
     _rref_dense,
+    kernel,
     kernel_field,
     kernel_mod_p,
     kernel_rational,
     poly_kernel,
     poly_rank,
+    rank,
     rank_mod_p,
     rref_field,
     rref_mod_p,
+    solve,
     solve_field,
     solve_mod_p,
     SpanSolver,
@@ -170,3 +173,126 @@ def test_poly_rank_and_kernel():
     rows2 = [[x, ring.zero], [ring.zero, y]]
     assert poly_rank(rows2, ring) == 2
     assert poly_kernel(rows2, 2, ring) == []
+
+
+# -- the sparse API against the dense backends -------------------------------
+
+SPARSE_FIELDS = (PrimeField(2), PrimeField(3), PrimeField(5), Rationals())
+
+
+def _random_value(rng, field):
+    if field.char:
+        return rng.randrange(1, field.char)
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.choice([1, 2, 3, 7]))
+
+
+def _sparse_cases(field, seed):
+    """Sparse {column: value} systems, with empty and duplicate rows."""
+    rng = random.Random(seed)
+    for _ in range(25):
+        ncols = rng.randrange(1, 9)
+        rows = []
+        for _ in range(rng.randrange(1, 9)):
+            cols = rng.sample(range(ncols), rng.randrange(0, min(ncols, 4) + 1))
+            rows.append({c: _random_value(rng, field) for c in cols})
+        rows.append(dict(rows[0]))
+        yield rows, ncols
+
+
+def _dense(rows, ncols, field):
+    return [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
+
+
+def _apply(rows, x, field):
+    out = []
+    for row in rows:
+        acc = field.zero
+        for c, val in row.items():
+            acc = field.add(acc, field.mul(val, x[c]))
+        out.append(acc)
+    return out
+
+
+def test_sparse_kernel_matches_dense_backends():
+    for k, field in enumerate(SPARSE_FIELDS):
+        for rows, ncols in _sparse_cases(field, 10 + k):
+            basis = kernel(rows, ncols, field)
+            dense = _dense(rows, ncols, field)
+            if field.char:
+                ref = kernel_mod_p(np.array(dense, dtype=np.int64), field.char)
+                assert basis == [v.tolist() for v in ref]
+                assert all(type(x) is int for v in basis for x in v)
+                continue
+            # over Q each vector is the RREF-normalized one scaled to integers
+            ref = kernel_field(dense, ncols, field)
+            assert len(basis) == len(ref)
+            for v, r in zip(basis, ref):
+                scale = v[r.index(field.one)]
+                assert scale > 0
+                assert all(isinstance(x, Fraction) and x.denominator == 1
+                           for x in v)
+                assert v == [x * scale for x in r]
+            for v in basis:
+                assert _apply(rows, v, field) == [field.zero] * len(rows)
+
+
+def test_sparse_rank_and_solve_match_dense_backends():
+    for k, field in enumerate(SPARSE_FIELDS):
+        rng = random.Random(20 + k)
+        for rows, ncols in _sparse_cases(field, 30 + k):
+            dense = _dense(rows, ncols, field)
+            if field.char:
+                a = np.array(dense, dtype=np.int64)
+                assert rank(rows, ncols, field) == rank_mod_p(a, field.char)
+            else:
+                assert rank(rows, ncols, field) == len(rref_field(dense, field)[1])
+            x0 = [_random_value(rng, field) for _ in range(ncols)]
+            for rhs in (_apply(rows, x0, field),
+                        [_random_value(rng, field) for _ in rows]):
+                x = solve(rows, rhs, ncols, field)
+                if field.char:
+                    ref = solve_mod_p(a, np.array(rhs), field.char)
+                    ref = None if ref is None else ref.tolist()
+                else:
+                    ref = solve_field(dense, rhs, field)
+                assert x == ref
+                if x is not None:
+                    assert _apply(rows, x, field) == rhs
+            assert solve(rows, _apply(rows, x0, field), ncols, field) is not None
+
+
+def test_sparse_api_ignores_row_order():
+    for k, field in enumerate(SPARSE_FIELDS):
+        rng = random.Random(40 + k)
+        for rows, ncols in _sparse_cases(field, 50 + k):
+            x0 = [_random_value(rng, field) for _ in range(ncols)]
+            rhs = _apply(rows, x0, field)
+            order = list(range(len(rows)))
+            rng.shuffle(order)
+            shuffled = [rows[i] for i in order]
+            assert kernel(shuffled, ncols, field) == kernel(rows, ncols, field)
+            assert (solve(shuffled, [rhs[i] for i in order], ncols, field)
+                    == solve(rows, rhs, ncols, field))
+
+
+def test_sparse_api_edge_cases():
+    for field in SPARSE_FIELDS:
+        one, zero = field.one, field.zero
+        # no rows, or only empty ones: the whole space
+        unit = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
+        assert kernel([], 3, field) == unit
+        assert kernel([{}, {}], 3, field) == unit
+        assert rank([], 3, field) == 0
+        assert solve([], [], 3, field) == [zero] * 3
+        # no columns
+        assert kernel([], 0, field) == []
+        assert rank([{}], 0, field) == 0
+        assert solve([{}], [zero], 0, field) == []
+        assert solve([{}], [one], 0, field) is None
+        # duplicate rows count once
+        row = {0: one, 2: field.neg(one)}
+        assert rank([row, dict(row), dict(row)], 3, field) == 1
+        assert kernel([row, dict(row)], 3, field) == kernel([row], 3, field)
+        # a row holding only a right-hand side is inconsistent
+        assert solve([{0: one}, {}], [one, one], 2, field) is None
+        assert solve([{0: one}, {}], [one, zero], 2, field) == [one, zero]
