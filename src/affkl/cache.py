@@ -13,7 +13,7 @@ from .serialize import (
     hecke_from_json,
     hecke_to_json,
 )
-from .soergel import PCanTable
+from .soergel import PCanTable, is_shifted_iso
 
 FORMAT_VERSION = 1
 
@@ -117,8 +117,10 @@ def verify(path, sample=None):
 
     With sample=None every entry is recomputed (in increasing length, so the
     recursion reuses its own fresh results); otherwise `sample` entries are
-    drawn with a seed derived from the fingerprint.  Returns the list of keys
-    checked; raises CacheCorrupt naming the first mismatching key.
+    drawn with a seed derived from the fingerprint.  The stored representative
+    of each checked key must be a valid bimodule isomorphic to the recomputed
+    one.  Returns the list of keys checked; raises CacheCorrupt naming the
+    first mismatching key.
     """
     stored = load_table(path)
     fresh = PCanTable(stored.datum, stored.char, source=stored.source)
@@ -132,7 +134,22 @@ def verify(path, sample=None):
         if expected != stored.entries[w]:
             raise CacheCorrupt(
                 f"entry {w.canonical_str()} disagrees with recomputation")
+        if w in stored.reps:
+            _verify_rep(w, stored.reps[w], fresh.reps[w])
     return [w.canonical_str() for w in keys]
+
+
+def _verify_rep(w, rep, expected):
+    """Raise CacheCorrupt unless rep is a valid bimodule isomorphic (at shift
+    0) to the recomputed representative."""
+    try:
+        rep.validate()
+    except AssertionError as exc:
+        raise CacheCorrupt(
+            f"representative {w.canonical_str()} is invalid: {exc}") from exc
+    if not is_shifted_iso(rep, expected, 0):
+        raise CacheCorrupt(f"representative {w.canonical_str()} is not "
+                           f"isomorphic to the recomputed one")
 
 
 def gc(path):

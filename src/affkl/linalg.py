@@ -6,9 +6,12 @@ over GF(p), Fractions over Q).  They are the only place that picks a
 backend per field:
   * GF(p): the numpy `*_mod_p` functions; at p = 2 rows are packed into bits
     and eliminated by XOR, odd p runs a row loop on int64 arrays;
-  * Q: kernels by multi-modular reconstruction with exact verification
-    (`kernel_rational`, on rows with cleared denominators); rank and solve
-    by elimination over the field (`rref_field`, `solve_field`).
+  * Q: kernels by multi-modular reconstruction (`kernel_rational`, on rows
+    with denominators cleared in int arithmetic): residue matrices come from
+    one sparse copy of the rows, and each reconstructed kernel vector is
+    cleared to ints and checked exactly, in int arithmetic on the sparse
+    rows, before it is returned as Fractions; rank and solve by elimination
+    over the field (`rref_field`, `solve_field`).
 Every answer is read off the reduced row echelon form, so it depends only on
 the row space: neither row order nor duplicate rows change it.
 
@@ -25,8 +28,9 @@ import numpy as np
 
 from .errors import SolverError
 
-_MODULAR_PRIMES = (536870909, 536870923, 536871001, 536871017, 536871077,
-                   536871133, 536871161, 536871199, 536871209, 536871239)
+# the ten smallest primes from 2^29 - 3 up; (p - 1)^2 fits in int64
+_MODULAR_PRIMES = (536870909, 536870923, 536870951, 536871001, 536871017,
+                   536871019, 536871029, 536871061, 536871089, 536871091)
 
 
 # -- the sparse API ----------------------------------------------------------
@@ -87,7 +91,7 @@ def _integral_row(row, ncols):
     lcm = math.lcm(*(val.denominator for val in row.values()))
     vec = [0] * ncols
     for c, val in row.items():
-        vec[c] = int(val * lcm)
+        vec[c] = val.numerator * (lcm // val.denominator)
     return vec
 
 
@@ -253,18 +257,31 @@ def _rational_reconstruct(r, m):
 def kernel_rational(rows):
     """Kernel basis over Q of an integer matrix (list of int rows).
 
-    Multi-modular with exact verification; falls back to Fraction elimination
-    when reconstruction keeps failing (tiny systems only).
+    Multi-modular: each prime's residue matrix is built from one sparse copy
+    of the rows, the RREF kernel vectors are CRT-combined and rationally
+    reconstructed, cleared to integers, and every candidate is checked
+    exactly against every row in int arithmetic before it is returned.  Falls
+    back to Fraction elimination when reconstruction keeps failing.  Vectors
+    come back as Fractions (with denominator 1).
     """
     if not rows:
         return []
     ncols = len(rows[0])
-    a_int = [list(map(int, row)) for row in rows]
+    # zero and duplicate rows do not change the row space
+    sparse = list(dict.fromkeys(
+        tuple([(c, int(x)) for c, x in enumerate(row) if x]) for row in rows))
+    if () in sparse:
+        sparse.remove(())
+    row_idx = np.array([r for r, row in enumerate(sparse) for _ in row],
+                       dtype=np.intp)
+    col_idx = np.array([c for row in sparse for c, _ in row], dtype=np.intp)
+    vals = [x for row in sparse for _, x in row]
     used = []
     best = None
     modulus = 1
     for p in _MODULAR_PRIMES:
-        a = np.array([[x % p for x in row] for row in a_int], dtype=np.int64)
+        a = np.zeros((len(sparse), ncols), dtype=np.int64)
+        a[row_idx, col_idx] = [x % p for x in vals]
         r, pivots = rref_mod_p(a, p)
         # An unlucky prime loses rank or pushes pivots to later columns, so
         # the lucky pivot list is the longest and then lexicographically
@@ -273,75 +290,64 @@ def kernel_rational(rows):
         if best is None or key < best:
             best = key
             pivset = set(pivots)
-            free_cols = tuple(c for c in range(ncols) if c not in pivset)
-            used = [(p, r, pivots)]
+            free_cols = [c for c in range(ncols) if c not in pivset]
+            used = [(p, r)]
             modulus = p
         elif key == best:
-            used.append((p, r, pivots))
+            used.append((p, r))
             modulus *= p
         else:
             continue
-        # try reconstruction
-        basis = _reconstruct_kernel(used, ncols, free_cols)
-        if basis is not None and _verify_kernel(a_int, basis):
-            return basis
+        basis = _reconstruct_kernel(used, ncols, pivots, free_cols)
+        if basis is not None and _verify_kernel(sparse, basis):
+            return _as_fractions(basis)
         if modulus > 2 ** 200:
             break
     # fallback: exact Fraction elimination
-    return _kernel_fraction(a_int)
+    return _as_fractions(_kernel_fraction([list(map(int, row)) for row in rows]))
 
 
-def _reconstruct_kernel(used, ncols, free_cols):
+def _as_fractions(basis):
+    zero = Fraction(0)
+    return [[Fraction(x) if x else zero for x in v] for v in basis]
+
+
+def _reconstruct_kernel(used, ncols, pivots, free_cols):
+    """Integer kernel vectors, one per free column, from the RREFs of the
+    primes in `used` (all with the same pivots), or None if some entry has
+    no rational reconstruction."""
+    modulus = math.prod(p for p, _ in used)
+    # CRT: residue = sum of r_p * coef_p (mod modulus)
+    coefs = [(modulus // p) * pow(modulus // p, -1, p) for p, _ in used]
+    # row k of each list: -(pivot row k) at the free columns, mod p
+    negs = [((-r[:, free_cols]) % p).tolist() for p, r in used]
     out = []
-    modulus = 1
-    for p, _, _ in used:
-        modulus *= p
-    for f in free_cols:
-        vec = []
-        ok = True
-        # CRT-combine the canonical kernel vector entries
-        for c in range(ncols):
-            residue, mod = 0, 1
-            for p, r, pivots in used:
-                if c == f:
-                    val = 1
-                elif c in pivots:
-                    k = pivots.index(c)
-                    val = (-int(r[k, f])) % p
-                else:
-                    val = 0
-                # CRT step
-                g = pow(mod % p, p - 2, p) if mod % p else None
-                if g is None:
-                    ok = False
-                    break
-                t = ((val - residue) * g) % p
-                residue = residue + mod * t
-                mod *= p
-            if not ok:
-                break
-            q = _rational_reconstruct(residue % modulus, modulus)
-            if q is None:
-                ok = False
-                break
-            vec.append(q)
-        if not ok:
-            return None
+    for j, f in enumerate(free_cols):
+        vec = [0] * ncols
+        vec[f] = 1
+        for k, c in enumerate(pivots):
+            residue = sum(coef * neg[k][j]
+                          for coef, neg in zip(coefs, negs)) % modulus
+            if residue:
+                q = _rational_reconstruct(residue, modulus)
+                if q is None:
+                    return None
+                vec[c] = q
         out.append(_clear_denominators(vec))
     return out
 
 
 def _clear_denominators(vec):
-    lcm = 1
-    for q in vec:
-        lcm = lcm * q.denominator // math.gcd(lcm, q.denominator)
-    return [Fraction(q * lcm) for q in vec]
+    """vec (ints and Fractions) times the lcm of its denominators, as ints."""
+    lcm = math.lcm(*(q.denominator for q in vec))
+    return [q.numerator * (lcm // q.denominator) for q in vec]
 
 
-def _verify_kernel(a_int, basis):
+def _verify_kernel(sparse, basis):
+    """Does every vector of basis annihilate every (column, int) row?"""
     for v in basis:
-        for row in a_int:
-            if sum(r * x for r, x in zip(row, v)) != 0:
+        for row in sparse:
+            if sum(x * v[c] for c, x in row):
                 return False
     return True
 

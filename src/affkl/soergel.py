@@ -251,7 +251,14 @@ class PCanTable:
         ch = hecke_mult(self.entries[y],
                         HeckeElt(self.datum, {s.as_element: ONE,
                                               wid(self.datum): LaurentPoly.v()}))
-        pieces = end0_split(big)
+        try:
+            pieces = end0_split(big)
+        except SolverError as exc:
+            words = " ".join(f"s{i}" for i in word)
+            raise SolverError(
+                f"{u.canonical_str()} (word {words}): End^0 split of "
+                f"rep(y)·B_s with y = {y.canonical_str()}, s = s{s.index} "
+                f"failed: {exc}") from exc
         tops = []
         lower = []
         for _, piece in pieces:

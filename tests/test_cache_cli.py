@@ -52,6 +52,35 @@ def test_verify_and_tamper(gl2, tmp_path):
     assert key in str(err.value)
 
 
+def test_verify_detects_tampered_rep(gl2, tmp_path):
+    table = PCanTable(gl2, 2)
+    for u in enumerate_elements(gl2, 2):
+        table.ensure(u)
+    path = tmp_path / "cache.json"
+    cachemod.save_table(table, str(path))
+    clean = json.loads(path.read_text())
+    key = next(k for k in sorted(clean["reps"])
+               if len(clean["reps"][k]["degrees"]) > 1)
+
+    def edit_act(rep):
+        # breaks validate(): the right actions no longer commute
+        act = rep["act"][0]
+        act[0][0] = "0" if act[0][0] != "0" else "1*x0"
+
+    def shift_degrees(rep):
+        # a valid bimodule, but not isomorphic to the recomputed one
+        rep["degrees"] = [d + 2 for d in rep["degrees"]]
+
+    for tamper in (edit_act, shift_degrees):
+        doc = json.loads(json.dumps(clean))
+        tamper(doc["reps"][key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CacheCorrupt) as err:
+            cachemod.verify(str(path))
+        assert key in str(err.value)
+        assert "representative" in str(err.value)
+
+
 def test_gc(gl2, tmp_path):
     table = PCanTable(gl2, 2)
     for u in enumerate_elements(gl2, 2):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -113,6 +114,12 @@ def test_kernel_mod_p_empty():
     assert kernel_mod_p(np.zeros((2, 0), dtype=np.int64), 5) == []
 
 
+def test_modular_primes_are_distinct_primes():
+    assert len(set(_MODULAR_PRIMES)) == len(_MODULAR_PRIMES)
+    for p in _MODULAR_PRIMES:
+        assert all(p % d for d in range(2, math.isqrt(p) + 1)), p
+
+
 def test_kernel_rational_recovers_from_unlucky_first_prime(monkeypatch):
     def no_fallback(a_int):
         raise AssertionError("reached the Fraction fallback")
@@ -136,6 +143,67 @@ def test_kernel_rational_matches_fraction():
         from affkl.linalg import _kernel_fraction
 
         assert len(basis) == len(_kernel_fraction(a))
+
+
+def test_kernel_rational_beyond_int64():
+    big = 2 ** 70 + 1
+    cases = (
+        [[big, 1, 0], [0, 0, 1]],
+        [[big, 3, -(2 ** 65)], [5, big, 7]],
+        [[big, -big, 0, 2], [1, 0, big, 0], [0, 0, 0, 0]],
+    )
+    for a in cases:
+        basis = kernel_rational(a)
+        ref = [[Fraction(x) for x in v] for v in linalg._kernel_fraction(a)]
+        assert basis == ref
+        for v in basis:
+            for row in a:
+                assert sum(x * y for x, y in zip(row, v)) == 0
+
+
+def test_kernel_rational_never_returns_a_wrong_candidate(monkeypatch):
+    a = [[1, 2, 3, 4], [4, 5, 6, 7]]
+    expected = kernel_rational(a)
+    reconstruct = linalg._reconstruct_kernel
+    calls = []
+    fallbacks = []
+
+    def corrupt(*args):
+        basis = reconstruct(*args)
+        calls.append(basis)
+        if basis is not None and len(calls) <= bad_calls:
+            basis[0][0] += 1
+        return basis
+
+    fallback = linalg._kernel_fraction
+
+    def counting_fallback(a_int):
+        fallbacks.append(a_int)
+        return fallback(a_int)
+
+    monkeypatch.setattr(linalg, "_reconstruct_kernel", corrupt)
+    monkeypatch.setattr(linalg, "_kernel_fraction", counting_fallback)
+    # a wrong first candidate: the next prime gives a checked one
+    bad_calls = 1
+    assert kernel_rational(a) == expected
+    assert len(calls) == 2 and not fallbacks
+    # every candidate wrong: the Fraction fallback answers
+    calls.clear()
+    bad_calls = len(_MODULAR_PRIMES)
+    assert kernel_rational(a) == expected
+    assert len(calls) > 1 and len(fallbacks) == 1
+
+
+def test_kernel_over_q_returns_integral_fractions():
+    field = Rationals()
+    rows = [{0: Fraction(1, 2), 1: Fraction(-2, 3), 3: Fraction(5, 7)},
+            {1: Fraction(3, 4), 2: Fraction(1, 6)},
+            {0: Fraction(2 ** 70 + 1, 3), 3: Fraction(1, 2 ** 40)}]
+    basis = kernel(rows, 5, field)
+    assert len(basis) == 2
+    for v in basis:
+        assert all(type(x) is Fraction and x.denominator == 1 for x in v)
+        assert _apply(rows, v, field) == [field.zero] * len(rows)
 
 
 def test_field_generic_ops():

@@ -1,6 +1,8 @@
 import pytest
 
+from affkl import soergel
 from affkl.bimodule import b_object, tensor
+from affkl.errors import SolverError
 from affkl.hecke import bar, canonical_basis, mult, unit
 from affkl.laurent import LaurentPoly, ONE
 from affkl.realization import build_realization
@@ -9,6 +11,7 @@ from affkl.weyl import (
     element_from_word,
     enumerate_elements,
     omega_factorize,
+    reduced_word,
     simple_reflections,
     translation,
     wid,
@@ -134,3 +137,23 @@ def test_base_change_positive(gl2, gl2_tables):
             c = work.coeff(top)
             assert c.is_nonneg(), (u, top, c)
             work = work - canonical_basis(top).scale(c)
+
+
+def test_split_error_names_element_word_and_stage(gl2, monkeypatch):
+    table = PCanTable(gl2, 2)
+    for y in enumerate_elements(gl2, 1):
+        table.ensure(y)
+    u = next(w for w in enumerate_elements(gl2, 2) if w.length == 2)
+
+    def failing_split(m):
+        raise SolverError("End^0 is not closed under composition")
+
+    monkeypatch.setattr(soergel, "end0_split", failing_split)
+    with pytest.raises(SolverError) as err:
+        table.ensure(u)
+    msg = str(err.value)
+    words = " ".join(f"s{i}" for i in reduced_word(u))
+    assert f"{u.canonical_str()} (word {words})" in msg
+    assert "End^0 split of rep(y)·B_s" in msg
+    assert "not closed under composition" in msg
+    assert u not in table.entries
