@@ -78,25 +78,30 @@ class LabeledBimodule:
         return self._label_null[w]
 
     def validate(self):
-        """Check the structural invariants (meant for tests)."""
+        """Check the structural invariants; raise ValueError on the first
+        that fails."""
         ring = self.real.ring
         n = self.real.dim
         for g in range(n):
             for h in range(g + 1, n):
                 ab = ring.mat_mul(self.act[g], self.act[h])
                 ba = ring.mat_mul(self.act[h], self.act[g])
-                assert ab == ba, f"right actions of x{g}, x{h} do not commute"
+                if ab != ba:
+                    raise ValueError(
+                        f"right actions of x{g}, x{h} do not commute")
         for w, vecs in self.labels:
             for g in range(n):
                 eig = self.real.act_poly(w, ring.gen(g))
                 for v in vecs:
                     lhs = ring.mat_vec(self.act[g], v)
                     rhs = [ring.mul(eig, x) for x in v]
-                    assert lhs == rhs, f"eigencondition fails for label {w}"
+                    if lhs != rhs:
+                        raise ValueError(f"eigencondition fails for label {w}")
         allvecs = [v for _, vecs in self.labels for v in vecs]
-        assert len(allvecs) == self.rank, "label dimensions do not sum to rank"
-        assert poly_rank([list(v) for v in allvecs], ring) == self.rank, \
-            "label vectors are not jointly spanning"
+        if len(allvecs) != self.rank:
+            raise ValueError("label dimensions do not sum to rank")
+        if poly_rank([list(v) for v in allvecs], ring) != self.rank:
+            raise ValueError("label vectors are not jointly spanning")
         return True
 
 

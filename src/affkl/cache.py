@@ -144,7 +144,7 @@ def _verify_rep(w, rep, expected):
     0) to the recomputed representative."""
     try:
         rep.validate()
-    except AssertionError as exc:
+    except ValueError as exc:
         raise CacheCorrupt(
             f"representative {w.canonical_str()} is invalid: {exc}") from exc
     if not is_shifted_iso(rep, expected, 0):

@@ -2,18 +2,20 @@
 
 The solvers call one sparse API: `kernel`, `rank` and `solve` take rows as
 {column: value} dicts over a field object and return field elements (ints
-over GF(p), Fractions over Q).  They are the only place that picks a
+over GF(p), Fractions over Q).  `kernel` is the only place that picks a
 backend per field:
-  * GF(p): the numpy `*_mod_p` functions; at p = 2 rows are packed into bits
-    and eliminated by XOR, odd p runs a row loop on int64 arrays;
-  * Q: kernels by multi-modular reconstruction (`kernel_rational`, on rows
-    with denominators cleared in int arithmetic): residue matrices come from
-    one sparse copy of the rows, and each reconstructed kernel vector is
-    cleared to ints and checked exactly, in int arithmetic on the sparse
-    rows, before it is returned as Fractions; rank and solve by elimination
-    over the field (`rref_field`, `solve_field`).
-Every answer is read off the reduced row echelon form, so it depends only on
-the row space: neither row order nor duplicate rows change it.
+  * GF(p): numpy `kernel_mod_p` on an int64 matrix; at p = 2 rows are packed
+    into bits and eliminated by XOR, odd p runs a row loop on int64 arrays;
+  * Q: multi-modular reconstruction (`kernel_rational`, on rows with
+    denominators cleared in int arithmetic): residue matrices come from one
+    sparse copy of the rows, and each reconstructed kernel vector is cleared
+    to ints and checked exactly, in int arithmetic on the sparse rows,
+    before it is returned as Fractions.
+`rank` and `solve` are read off `kernel`: the rank is ncols minus the kernel
+dimension, and a solution of A x = b is the kernel vector of [A | -b] at the
+extra column, scaled to 1 there.  Every answer is read off the reduced row
+echelon form, so it depends only on the row space: neither row order nor
+duplicate rows change it, and the solution has its free columns set to zero.
 
 The dense backends stay public.  Generic elimination over a field object
 (`rref_field`, `kernel_field`, `SpanSolver`) also serves the small
@@ -27,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SolverError
+from .fields import Rationals
 
 # the ten smallest primes from 2^29 - 3 up; (p - 1)^2 fits in int64
 _MODULAR_PRIMES = (536870909, 536870923, 536870951, 536871001, 536871017,
@@ -54,13 +57,7 @@ def kernel(rows, ncols, field):
 
 def rank(rows, ncols, field):
     """Rank of a sparse system."""
-    rows = [row for row in rows if row]
-    if not rows:
-        return 0
-    if field.char:
-        return rank_mod_p(_int64_matrix(rows, ncols), field.char)
-    return len(rref_field([_dense_row(row, ncols, field) for row in rows],
-                          field)[1])
+    return ncols - len(kernel(rows, ncols, field))
 
 
 def solve(rows, rhs, ncols, field):
@@ -68,14 +65,13 @@ def solve(rows, rhs, ncols, field):
 
     Free columns are set to zero.
     """
-    if field.char:
-        x = solve_mod_p(_int64_matrix(rows, ncols),
-                        np.array(rhs, dtype=np.int64), field.char)
-        return None if x is None else x.tolist()
-    if not rows:
-        return [field.zero] * ncols
-    return solve_field([_dense_row(row, ncols, field) for row in rows], rhs,
-                       field)
+    aug = [row if field.is_zero(b) else {**row, ncols: field.neg(b)}
+           for row, b in zip(rows, rhs)]
+    for v in kernel(aug, ncols + 1, field):
+        if not field.is_zero(v[ncols]):
+            scale = field.inv(v[ncols])
+            return [field.mul(x, scale) for x in v[:ncols]]
+    return None
 
 
 def _int64_matrix(rows, ncols):
@@ -92,13 +88,6 @@ def _integral_row(row, ncols):
     vec = [0] * ncols
     for c, val in row.items():
         vec[c] = val.numerator * (lcm // val.denominator)
-    return vec
-
-
-def _dense_row(row, ncols, field):
-    vec = [field.zero] * ncols
-    for c, val in row.items():
-        vec[c] = val
     return vec
 
 
@@ -353,34 +342,10 @@ def _verify_kernel(sparse, basis):
 
 
 def _kernel_fraction(a_int):
+    """Kernel of an integer matrix by Fraction elimination, as int vectors."""
     rows = [[Fraction(x) for x in row] for row in a_int]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                fmul = rows[i][c]
-                rows[i] = [x - fmul * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    pivset = set(pivots)
-    out = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for k, c in enumerate(pivots):
-            v[c] = -rows[k][f]
-        out.append(_clear_denominators(v))
-    return out
+    return [_clear_denominators(v)
+            for v in kernel_field(rows, len(a_int[0]), Rationals())]
 
 
 # -- elimination over a field object ------------------------------------------

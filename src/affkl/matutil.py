@@ -24,12 +24,15 @@ def transpose(a):
 
 
 def mat_inv_int(a):
-    """Inverse of an integer matrix with determinant +-1 (exact, via Fractions)."""
+    """Inverse of an integer matrix with determinant +-1 (exact, via Fractions);
+    ValueError for any other matrix."""
     n = len(a)
     m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
          for i in range(n)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
         m[col], m[piv] = m[piv], m[col]
         pv = m[col][col]
         m[col] = [x / pv for x in m[col]]

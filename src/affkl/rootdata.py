@@ -60,12 +60,7 @@ class RootDatum:
         """Coordinates of a root in the simple basis (exact rationals -> ints)."""
         key = ("coords", root)
         if key not in self._derived:
-            n = len(self.simple_roots)
-            # solve sum c_i alpha_i = root by Gaussian elimination over Q
-            cols = [list(a) for a in self.simple_roots]
-            m = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(root[i])]
-                 for i in range(self.rank)]
-            coeffs = _solve_exact(m, n)
+            coeffs = simple_root_coeffs(self, root)
             if coeffs is None or any(c.denominator != 1 for c in coeffs):
                 raise MalformedDatum(
                     f"root {root} is not an integer combination of simple roots")
@@ -134,6 +129,15 @@ class AssumptionReport:
             lines.append(
                 f"component {label}: p > {bound}  {'ok' if passed else 'FAIL'}")
         return "\n".join(lines)
+
+
+def simple_root_coeffs(d, vec):
+    """Rationals c with sum_i c_i alpha_i = vec over the simple roots of d,
+    or None if vec is not in their span."""
+    n = len(d.simple_roots)
+    m = [[Fraction(a[i]) for a in d.simple_roots] + [Fraction(vec[i])]
+         for i in range(d.rank)]
+    return _solve_exact(m, n)
 
 
 def _solve_exact(m, nvars):

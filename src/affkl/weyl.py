@@ -17,7 +17,7 @@ from .errors import (
     OmegaUnbounded,
 )
 from .matutil import identity, mat_inv_int, mat_mul, mat_vec, smith_normal_form
-from .rootdata import pairing
+from .rootdata import pairing, simple_root_coeffs
 
 
 class ExtWeylElt:
@@ -353,14 +353,7 @@ def _quotient_generators(datum):
 
 
 def _in_root_lattice(datum, lam):
-    from .rootdata import _solve_exact
-    from fractions import Fraction
-
-    n = datum.nsimple
-    cols = [list(a) for a in datum.simple_roots]
-    m = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(lam[i])]
-         for i in range(datum.rank)]
-    sol = _solve_exact(m, n)
+    sol = simple_root_coeffs(datum, lam)
     return sol is not None and all(c.denominator == 1 for c in sol)
 
 

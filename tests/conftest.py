@@ -39,24 +39,30 @@ AFFKL_IMPORT_ROOT = str(Path(affkl.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
-def run_cli(tmp_path):
+def child_env():
+    """Environment for a child interpreter that must import this ``affkl``."""
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=AFFKL_IMPORT_ROOT
+                + (os.pathsep + inherited if inherited else ""))
+
+
+@pytest.fixture
+def run_cli(tmp_path, child_env):
     """Run ``python -m affkl.cli ARGS`` in ``tmp_path``; return the process.
 
     The working directory is private to the test, so the CLI's default
     ``affkl_cache/`` lands there.  A child that cannot import ``affkl``
     fails the test outright instead of reporting a CLI exit code.
     """
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=AFFKL_IMPORT_ROOT
-               + (os.pathsep + inherited if inherited else ""))
 
     def run(args):
         proc = subprocess.run([sys.executable, "-m", "affkl.cli"] + args,
                               capture_output=True, text=True, cwd=tmp_path,
-                              env=env)
+                              env=child_env)
         if "No module named 'affkl'" in proc.stderr:
             pytest.fail("the CLI child process could not import affkl "
-                        f"(PYTHONPATH={env['PYTHONPATH']!r}):\n{proc.stderr}")
+                        f"(PYTHONPATH={child_env['PYTHONPATH']!r}):\n"
+                        f"{proc.stderr}")
         return proc
 
     return run

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -52,26 +54,34 @@ def test_verify_and_tamper(gl2, tmp_path):
     assert key in str(err.value)
 
 
-def test_verify_detects_tampered_rep(gl2, tmp_path):
+def _saved_gl2_table(gl2, path):
+    """Save the GL2 p=2 table up to length 2; return its document and the
+    key of a stored representative of rank > 1."""
     table = PCanTable(gl2, 2)
     for u in enumerate_elements(gl2, 2):
         table.ensure(u)
-    path = tmp_path / "cache.json"
     cachemod.save_table(table, str(path))
-    clean = json.loads(path.read_text())
-    key = next(k for k in sorted(clean["reps"])
-               if len(clean["reps"][k]["degrees"]) > 1)
+    doc = json.loads(path.read_text())
+    key = next(k for k in sorted(doc["reps"])
+               if len(doc["reps"][k]["degrees"]) > 1)
+    return doc, key
 
-    def edit_act(rep):
-        # breaks validate(): the right actions no longer commute
-        act = rep["act"][0]
-        act[0][0] = "0" if act[0][0] != "0" else "1*x0"
+
+def _edit_act(rep):
+    # breaks validate(): the right actions no longer commute
+    act = rep["act"][0]
+    act[0][0] = "0" if act[0][0] != "0" else "1*x0"
+
+
+def test_verify_detects_tampered_rep(gl2, tmp_path):
+    path = tmp_path / "cache.json"
+    clean, key = _saved_gl2_table(gl2, path)
 
     def shift_degrees(rep):
         # a valid bimodule, but not isomorphic to the recomputed one
         rep["degrees"] = [d + 2 for d in rep["degrees"]]
 
-    for tamper in (edit_act, shift_degrees):
+    for tamper in (_edit_act, shift_degrees):
         doc = json.loads(json.dumps(clean))
         tamper(doc["reps"][key])
         path.write_text(json.dumps(doc))
@@ -79,6 +89,37 @@ def test_verify_detects_tampered_rep(gl2, tmp_path):
             cachemod.verify(str(path))
         assert key in str(err.value)
         assert "representative" in str(err.value)
+
+
+def test_validate_rejects_tampered_rep_under_optimize(gl2, tmp_path,
+                                                     child_env):
+    # `python -O` strips assert statements; validate() must still raise
+    path = tmp_path / "cache.json"
+    doc, key = _saved_gl2_table(gl2, path)
+    _edit_act(doc["reps"][key])
+    path.write_text(json.dumps(doc))
+    code = (
+        "import sys\n"
+        "from affkl import cache\n"
+        "from affkl.errors import CacheCorrupt\n"
+        "assert False, 'asserts are on'\n"
+        "table = cache.load_table(sys.argv[1])\n"
+        "rep = next(r for w, r in table.reps.items()\n"
+        "           if w.canonical_str() == sys.argv[2])\n"
+        "try:\n"
+        "    rep.validate()\n"
+        "except ValueError as exc:\n"
+        "    print('validate:', exc)\n"
+        "try:\n"
+        "    cache.verify(sys.argv[1])\n"
+        "except CacheCorrupt as exc:\n"
+        "    print('verify:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(path), key],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "validate: right actions of x0, x1 do not commute"
+    assert lines[1].startswith(f"verify: representative {key} is invalid")
 
 
 def test_gc(gl2, tmp_path):

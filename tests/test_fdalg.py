@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from affkl import upoly
-from affkl.errors import SplitOverExtensionNeeded
-from affkl.fdalg import FDAlgebra, _charpoly
+from affkl.errors import SolverError, SplitOverExtensionNeeded
+from affkl.fdalg import FDAlgebra, SpanSolverSafe, _charpoly
 from affkl.fields import PrimeField, Rationals
 
 
@@ -212,3 +212,12 @@ def test_frobenius_factor_split():
     assert not r
     # irreducible polynomial does not split
     assert upoly.frobenius_factor_split(f, [1, 1, 1]) is None
+
+
+def test_span_solver_safe_rejects_dependent_family():
+    field = PrimeField(3)
+    span = SpanSolverSafe([[1, 0, 1], [0, 1, 1]], field)
+    assert span.coords([1, 2, 0]) == [1, 2]
+    assert span.coords([0, 0, 1]) is None
+    with pytest.raises(SolverError):
+        SpanSolverSafe([[1, 0, 1], [0, 1, 1], [1, 1, 2]], field)

@@ -47,10 +47,14 @@ def test_recorder_wraps_and_restores_every_entry_point():
             assert _is_wrapper(now) and now.__wrapped__ is orig, entry
         # the sparse API reaches the wrapped per-field backend
         from affkl.fields import PrimeField
-        from affkl.linalg import kernel
+        from affkl.linalg import kernel, rank, solve
 
         assert kernel([{0: 1, 1: 1}], 2, PrimeField(2)) == [[1, 1]]
         assert rec.entry_calls["linalg.kernel_mod_p"] == 1
+        assert rank([{0: 1, 1: 1}], 2, PrimeField(3)) == 1
+        assert rec.entry_calls["linalg.kernel_mod_p"] == 2
+        assert solve([{0: 1, 1: 1}], [2], 2, PrimeField(3)) == [2, 0]
+        assert rec.entry_calls["linalg.kernel_mod_p"] == 3
     finally:
         rec.uninstall()
     for (layer, entry), orig in before.items():
@@ -58,3 +62,24 @@ def test_recorder_wraps_and_restores_every_entry_point():
     for name, mod in list(sys.modules.items()):
         if mod is not None and (name == "affkl" or name.startswith("affkl.")):
             assert not any(_is_wrapper(v) for v in vars(mod).values()), name
+
+
+def test_kl_route_tables_make_no_bimodule_or_linalg_calls():
+    # the tables workload fails a traced run if these layers are reached
+    from affkl import build_root_datum, tilt
+    from affkl.soergel import PCanTable
+    from affkl.weyl import simple_reflections
+
+    layers = _load_layers()
+    rec = layers.Recorder()
+    rec.install()
+    try:
+        table = PCanTable(build_root_datum("A2-sc"), 0, source="kl")
+        refls = simple_reflections(table.datum, conj_search=False)
+        mt = tilt.mult_table([refls[0]], [refls[1], refls[2]], 4, table)
+    finally:
+        rec.uninstall()
+    assert mt.entries
+    assert rec.calls["tilt"] and rec.calls["weyl"]
+    for layer in ("bimodule", "homs", "linalg", "fdalg"):
+        assert rec.calls[layer] == 0, layer

@@ -2,7 +2,11 @@ import pytest
 
 from affkl import build_root_datum, check_assumptions, components, pairing
 from affkl.errors import DimensionMismatch, MalformedDatum
-from affkl.matutil import gcd_minors_invariant_factors, smith_normal_form
+from affkl.matutil import (
+    gcd_minors_invariant_factors,
+    mat_inv_int,
+    smith_normal_form,
+)
 from affkl.rootdata import P_BOUNDS
 
 
@@ -123,3 +127,11 @@ def test_adjoint_a1_cotorsion():
 def test_json_round_trip(a2):
     rebuilt = build_root_datum(a2.to_json())
     assert rebuilt.fingerprint == a2.fingerprint
+
+
+def test_mat_inv_int():
+    assert mat_inv_int(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    # singular, and invertible over Q but not over the integers
+    for mat in (((1, 2), (2, 4)), ((0, 0), (0, 1)), ((2, 0), (0, 1))):
+        with pytest.raises(ValueError):
+            mat_inv_int(mat)
