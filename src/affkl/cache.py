@@ -86,6 +86,12 @@ def load_table(path, datum=None):
     for key, repj in doc.get("reps", {}).items():
         w = element_from_str(datum, key)
         table.reps[w] = bimodule_from_json(table.real, repj)
+    # ensure() reads the representative of every entry below its target
+    missing = set(table.entries) - set(table.reps) if table.real else set()
+    if missing:
+        w = min(missing, key=lambda w: (w.length, w.canonical_str()))
+        raise CacheCorrupt(
+            f"{path}: entry {w.canonical_str()} has no stored representative")
     return table
 
 

@@ -6,9 +6,20 @@ generator and mapping each labeled component of the generic fiber of M into
 the matching component of N.  All three condition families are linear in the
 entry coefficients, so a basis comes out of one exact kernel computation
 over the base field.
+
+Each system is built in integer arrays and handed to `linalg` as COO
+triplets.  A monomial is a mixed-radix code (exponent i is digit i), so
+multiplying monomials adds codes; polynomial entries become term arrays once
+per call, which are joined with the unknowns on a shared index.  Over GF(p)
+coefficients are int64 residues; over Q each family of equations is cleared
+of denominators (per generator for P A_g = B_g P, lcm(x) * lcm(c) for a
+label vector x and null vector c), which leaves the row space unchanged.
 """
 
 import itertools
+import math
+
+import numpy as np
 
 from .errors import DegreeOutOfWindow
 from .laurent import LaurentPoly
@@ -19,18 +30,13 @@ def monomials_of_degree(nvars, deg):
     """Exponent tuples with sum deg, in a fixed (sorted) order."""
     if deg < 0:
         return []
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), deg):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    out.sort()
-    return out
+    return sorted(tuple(combo.count(i) for i in range(nvars)) for combo in
+                  itertools.combinations_with_replacement(range(nvars), deg))
 
 
 class SlotMap:
-    """Coefficient coordinates for matrices with prescribed entry degrees."""
+    """Coefficient coordinates for matrices with prescribed entry degrees;
+    the int arrays rows, cols and exps give slot s as (i, j, monomial)."""
 
     def __init__(self, ring, row_degrees, col_degrees, degree):
         self.ring = ring
@@ -47,6 +53,9 @@ class SlotMap:
                 for mono in monos:
                     self.index[(i, j, mono)] = len(self.slots)
                     self.slots.append((i, j, mono))
+        flat = np.array([(i, j, *mono) for i, j, mono in self.slots],
+                        dtype=np.int64).reshape(self.size, 2 + ring.nvars)
+        self.rows, self.cols, self.exps = flat[:, 0], flat[:, 1], flat[:, 2:]
 
     @property
     def size(self):
@@ -72,33 +81,67 @@ class SlotMap:
         return mats
 
 
-class _EqBuilder:
-    """Sparse equations {column: coefficient} keyed by an equation id, with
-    optional right-hand sides."""
+# -- integer-array assembly ---------------------------------------------------
 
-    def __init__(self, field):
-        self.field = field
-        self.rows = {}
-        self.rhs = {}
 
-    def add(self, eq_key, col, coeff):
-        if self.field.is_zero(coeff):
-            return
-        row = self.rows.setdefault(eq_key, {})
-        s = self.field.add(row.get(col, self.field.zero), coeff)
-        if self.field.is_zero(s):
-            row.pop(col, None)
-        else:
-            row[col] = s
+def _terms(items, nidx, ring, group=None):
+    """Term arrays of (index tuple, polynomial) pairs: an (nterms, nidx)
+    index array, an (nterms, nvars) exponent array and the coefficients as
+    integers.  Over GF(p) these are int64 residues; over Q each is multiplied
+    by the lcm of the denominators of the terms sharing its index `group`
+    (of all terms if group is None), as Python ints."""
+    idx, exps, coefs = [], [], []
+    for key, poly in items:
+        for mono, c in poly.items():
+            idx.append(key)
+            exps.append(mono)
+            coefs.append(c)
+    idx = np.array(idx, dtype=np.int64).reshape(len(coefs), nidx)
+    exps = np.array(exps, dtype=np.int64).reshape(len(coefs), ring.nvars)
+    if ring.field.char:
+        return idx, exps, np.array(coefs, dtype=np.int64)
+    groups = idx[:, group].tolist() if group is not None else [0] * len(coefs)
+    lcm = {}
+    for g, c in zip(groups, coefs):
+        lcm[g] = math.lcm(lcm.get(g, 1), c.denominator)
+    return idx, exps, np.array([c.numerator * (lcm[g] // c.denominator)
+                                for g, c in zip(groups, coefs)], dtype=object)
 
-    def set_rhs(self, eq_key, value):
-        self.rhs[eq_key] = value
 
-    def system(self):
-        """Rows and right-hand sides, one pair per equation id."""
-        keys = list(self.rows) + [k for k in self.rhs if k not in self.rows]
-        return ([self.rows.get(k, {}) for k in keys],
-                [self.rhs.get(k, self.field.zero) for k in keys])
+def _degree(exps):
+    """Largest exponent sum among the rows of exps (0 when there are none)."""
+    return int(exps.sum(axis=1).max(initial=0))
+
+
+def _join(keys, term_keys, nkeys):
+    """Every pair (t, s) with keys[s] == term_keys[t], as two index arrays:
+    each term meets its group of the entries sorted by key, via np.repeat."""
+    order = np.argsort(keys, kind="stable")
+    counts = np.bincount(keys, minlength=nkeys)
+    reps = counts[term_keys]
+    t = np.repeat(np.arange(len(term_keys)), reps)
+    shift = (np.cumsum(counts) - counts)[term_keys] - (np.cumsum(reps) - reps)
+    return t, order[np.repeat(shift, reps) + np.arange(len(t))]
+
+
+def _codes(exps, radix):
+    """Mixed-radix codes of exponent rows with every exponent below radix."""
+    return np.ravel_multi_index(exps.T, (radix,) * exps.shape[1])
+
+
+def _system(*families):
+    """COO triplets of a system given as families (key, dims, cols, vals):
+    entry (equation key[.][k], column cols[k]) gains vals[k].  Each family's
+    equations are numbered by np.unique on its key, which indexes a grid of
+    shape dims (np.ravel_multi_index raises rather than wraps on overflow)."""
+    rows, nrows = [], 0
+    for key, dims, _, _ in families:
+        ids, inv = np.unique(np.ravel_multi_index(key, dims),
+                             return_inverse=True)
+        rows.append(inv + nrows)
+        nrows += len(ids)
+    return (np.concatenate(rows), np.concatenate([f[2] for f in families]),
+            np.concatenate([f[3] for f in families]))
 
 
 def hom_space(m, n, degree):
@@ -108,60 +151,61 @@ def hom_space(m, n, degree):
         raise DegreeOutOfWindow(
             f"|{degree}| exceeds solver window {window}")
     ring = m.real.ring
-    fld = ring.field
     slots = SlotMap(ring, n.degrees, m.degrees, degree)
     if slots.size == 0:
         return []
-    eqs = _EqBuilder(fld)
-    # intertwining: P A_g = B_g P for every generator g
-    for g in range(m.real.dim):
-        a = m.act[g]
-        b = n.act[g]
-        for i in range(n.rank):
-            for j in range(m.rank):
-                # sum_k P[i,k] a[k,j] - sum_k b[i,k] P[k,j] = 0
-                for k in range(m.rank):
-                    monos = slots.entry_monos.get((i, k))
-                    if monos and a[k][j]:
-                        for mono in monos:
-                            col = slots.index[(i, k, mono)]
-                            for am, ac in a[k][j].items():
-                                key = ("tw", g, i, j,
-                                       tuple(x + y for x, y in zip(mono, am)))
-                                eqs.add(key, col, ac)
-                for k in range(n.rank):
-                    monos = slots.entry_monos.get((k, j))
-                    if monos and b[i][k]:
-                        for mono in monos:
-                            col = slots.index[(k, j, mono)]
-                            for bm, bc in b[i][k].items():
-                                key = ("tw", g, i, j,
-                                       tuple(x + y for x, y in zip(mono, bm)))
-                                eqs.add(key, col, fld.neg(bc))
-    # labels: for every component of M, c . P x = 0 for null vectors c of the
-    # matching component of N
-    for lw, (w, xs) in enumerate(m.labels):
-        nulls = n.label_nullspace(w)
-        for xi, x in enumerate(xs):
-            for ci, c in enumerate(nulls):
-                for i in range(n.rank):
-                    if not c[i]:
-                        continue
-                    for j in range(m.rank):
-                        if not x[j]:
-                            continue
-                        monos = slots.entry_monos.get((i, j))
-                        if not monos:
-                            continue
-                        q = ring.mul(c[i], x[j])
-                        for mono in monos:
-                            col = slots.index[(i, j, mono)]
-                            for qm, qc in q.items():
-                                key = ("lbl", lw, xi, ci,
-                                       tuple(a + b for a, b in zip(mono, qm)))
-                                eqs.add(key, col, qc)
+    # the assembly's intermediate arrays are freed before the kernel runs
     return [slots.unflatten(v, n.rank, m.rank)
-            for v in kernel(list(eqs.rows.values()), slots.size, fld)]
+            for v in kernel(*_hom_equations(m, n, slots), slots.size,
+                            ring.field)]
+
+
+def _hom_equations(m, n, slots):
+    """COO triplets of the conditions on a morphism M -> N in `slots`."""
+    ring = m.real.ring
+    # the action matrices of M (tag 0) and N (tag 1), per generator g
+    idx, exps, vals = _terms(
+        (((t, g, r, c), e) for t, mod in enumerate((m, n))
+         for g, mat in enumerate(mod.act) for r, row in enumerate(mat)
+         for c, e in enumerate(row) if e), 4, ring, group=1)
+    # the label vectors x of M and null vectors c of the same label in N
+    xs = [(lw, x) for lw, (_, vecs) in enumerate(m.labels) for x in vecs]
+    cs = [(lw, c) for lw, (w, _) in enumerate(m.labels)
+          for c in n.label_nullspace(w)]
+    x_idx, x_exps, x_vals = _terms(
+        (((v, j), e) for v, (_, x) in enumerate(xs) for j, e in enumerate(x)
+         if e), 2, ring, group=0)
+    c_idx, c_exps, c_vals = _terms(
+        (((v, i), e) for v, (_, c) in enumerate(cs) for i, e in enumerate(c)
+         if e), 2, ring, group=0)
+    # every product term c_i x_j of a pair (x, c) sharing a label
+    tx, tc = _join(np.array([lw for lw, _ in cs], dtype=np.int64)[c_idx[:, 0]],
+                   np.array([lw for lw, _ in xs], dtype=np.int64)[x_idx[:, 0]],
+                   len(m.labels))
+    l_exps = x_exps[tx] + c_exps[tc]
+    radix = 1 + _degree(slots.exps) + max(_degree(exps), _degree(l_exps))
+    s_code, code = _codes(slots.exps, radix), _codes(exps, radix)
+    # intertwining, P A_g = B_g P: equation (g, i, j, monomial) gets slot
+    # (i, k) times A_g[k][j] and slot (k, j) times -B_g[i][k]
+    a, b = np.flatnonzero(idx[:, 0] == 0), np.flatnonzero(idx[:, 0] == 1)
+    ta, sa = _join(slots.cols, idx[a, 2], m.rank)
+    tb, sb = _join(slots.rows, idx[b, 3], n.rank)
+    ta, tb = a[ta], b[tb]
+    # labels, c . P x = 0: equation (x, c, monomial) gets slot (i, j) times
+    # c_i x_j
+    tl, sl = _join(slots.rows * m.rank + slots.cols,
+                   c_idx[tc, 1] * m.rank + x_idx[tx, 1], n.rank * m.rank)
+    return _system(
+        ((np.concatenate([idx[ta, 1], idx[tb, 1]]),
+          np.concatenate([slots.rows[sa], idx[tb, 2]]),
+          np.concatenate([idx[ta, 3], slots.cols[sb]]),
+          np.concatenate([s_code[sa] + code[ta], s_code[sb] + code[tb]])),
+         (m.real.dim, n.rank, m.rank, radix ** ring.nvars),
+         np.concatenate([sa, sb]), np.concatenate([vals[ta], -vals[tb]])),
+        ((x_idx[tx[tl], 0], c_idx[tc[tl], 0],
+          s_code[sl] + _codes(l_exps, radix)[tl]),
+         (len(xs), len(cs), radix ** ring.nvars), sl,
+         x_vals[tx[tl]] * c_vals[tc[tl]]))
 
 
 def graded_hom_dims(m, n, extra=2):
@@ -171,7 +215,6 @@ def graded_hom_dims(m, n, extra=2):
     multiplication by the positive-degree part of R (generated in degree 2).
     """
     window = m.wordlen + n.wordlen + extra
-    ring = m.real.ring
     bases = {}
     for d in range(-window, window + 1):
         bases[d] = hom_space(m, n, d)
@@ -192,53 +235,65 @@ def _image_rank(m, n, prev_basis, d):
     if not prev_basis:
         return 0
     ring = m.real.ring
-    fld = ring.field
-    slots = SlotMap(ring, n.degrees, m.degrees, d)
-    rows = []
-    for phi in prev_basis:
-        for g in range(ring.nvars):
-            xi = ring.gen(g)
-            scaled = [[ring.mul(xi, e) if e else {} for e in row] for row in phi]
-            rows.append({c: x for c, x in enumerate(slots.flatten(scaled))
-                         if not fld.is_zero(x)})
-    return rank(rows, slots.size, fld)
+    nv = ring.nvars
+    idx, exps, vals = _terms(
+        (((k, i, j), e) for k, phi in enumerate(prev_basis)
+         for i, row in enumerate(phi) for j, e in enumerate(row) if e),
+        3, ring, group=0)
+    radix = 2 + _degree(exps)
+    # vector (k, g) is x_g * phi_k: each term of phi_k with x_g's code added,
+    # at a column numbered by the (i, j, monomial) it reaches
+    code = (_codes(exps, radix)[:, None]
+            + _codes(np.eye(nv, dtype=np.int64), radix)).ravel()
+    _, cols = np.unique(np.ravel_multi_index(
+        (np.repeat(idx[:, 1], nv), np.repeat(idx[:, 2], nv), code),
+        (n.rank, m.rank, radix ** nv)), return_inverse=True)
+    triplets = _system(
+        ((np.repeat(idx[:, 0], nv), np.tile(np.arange(nv), len(vals))),
+         (len(prev_basis), nv), cols, np.repeat(vals, nv)))
+    return rank(*triplets, int(cols.max()) + 1, ring.field)
 
 
-def solve_in_basis(columns, col_degrees, rhs, rhs_degree, ring):
-    """Solve sum_l columns[l] * y_l = rhs with y_l homogeneous of degree
-    rhs_degree - col_degrees[l]; returns the y vector (unique when the
-    columns are independent) or None."""
+def solve_in_basis(columns, col_degrees, rhss, rhs_degree, ring):
+    """Solve sum_l columns[l] * y_l = rhs for every rhs in rhss (all of
+    degree rhs_degree), with y_l homogeneous of degree rhs_degree -
+    col_degrees[l].  Returns one y vector per rhs (unique when the columns
+    are independent), or None if some rhs has no solution."""
+    if not rhss:
+        return []
     fld = ring.field
-    nrows = len(rhs)
-    unknowns = []
-    index = {}
-    for l, dl in enumerate(col_degrees):
-        t = rhs_degree - dl
-        if t < 0 or t % 2:
-            monos = []
-        else:
-            monos = monomials_of_degree(ring.nvars, t // 2)
-        for mono in monos:
-            index[(l, mono)] = len(unknowns)
-            unknowns.append((l, mono))
-    eqs = _EqBuilder(fld)
-    for i in range(nrows):
-        for l, mono in unknowns:
-            entry = columns[l][i]
-            if not entry:
-                continue
-            col = index[(l, mono)]
-            for em, ec in entry.items():
-                eqs.add((i, tuple(a + b for a, b in zip(mono, em))), col, ec)
-        for rm, rc in rhs[i].items():
-            eqs.set_rhs((i, rm), rc)
-    rows, values = eqs.system()
-    sol = solve(rows, values, len(unknowns), fld)
-    if sol is None:
+    unknowns = [(l, mono) for l, dl in enumerate(col_degrees)
+                if (rhs_degree - dl) % 2 == 0
+                for mono in monomials_of_degree(ring.nvars,
+                                                (rhs_degree - dl) // 2)]
+    u_flat = np.array([(l, *mono) for l, mono in unknowns],
+                      dtype=np.int64).reshape(len(unknowns), 1 + ring.nvars)
+    # columns (tag 0) and right-hand sides (tag 1) form one family
+    idx, exps, vals = _terms(
+        (((t, l, i), e) for t, vecs in enumerate((columns, rhss))
+         for l, vec in enumerate(vecs) for i, e in enumerate(vec) if e),
+        3, ring)
+    radix = 1 + _degree(u_flat[:, 1:]) + _degree(exps)
+    code = _codes(exps, radix)
+    # [A | B]: equation (i, monomial) gets unknown (l, mono) times
+    # columns[l][i], and column len(unknowns) + k gets rhss[k][i]
+    c, r = np.flatnonzero(idx[:, 0] == 0), np.flatnonzero(idx[:, 0] == 1)
+    t, u = _join(u_flat[:, 0], idx[c, 1], len(columns))
+    t = c[t]
+    triplets = _system(
+        ((np.concatenate([idx[t, 2], idx[r, 2]]),
+          np.concatenate([_codes(u_flat[u, 1:], radix) + code[t], code[r]])),
+         (len(rhss[0]), radix ** ring.nvars),
+         np.concatenate([u, len(unknowns) + idx[r, 1]]),
+         np.concatenate([vals[t], vals[r]])))
+    sols = solve(*triplets, len(unknowns), len(rhss), fld)
+    if sols is None:
         return None
-    out = [{} for _ in col_degrees]
-    for (l, mono), idx in index.items():
-        c = sol[idx]
-        if not fld.is_zero(c):
-            out[l][mono] = c
+    out = []
+    for sol in sols:
+        y = [{} for _ in col_degrees]
+        for (l, mono), c in zip(unknowns, sol):
+            if not fld.is_zero(c):
+                y[l][mono] = c
+        out.append(y)
     return out

@@ -1,21 +1,28 @@
 """Exact linear algebra over GF(p) and Q.
 
-The solvers call one sparse API: `kernel`, `rank` and `solve` take rows as
-{column: value} dicts over a field object and return field elements (ints
-over GF(p), Fractions over Q).  `kernel` is the only place that picks a
-backend per field:
-  * GF(p): numpy `kernel_mod_p` on an int64 matrix; at p = 2 rows are packed
-    into bits and eliminated by XOR, odd p runs a row loop on int64 arrays;
-  * Q: multi-modular reconstruction (`kernel_rational`, on rows with
-    denominators cleared in int arithmetic): residue matrices come from one
-    sparse copy of the rows, and each reconstructed kernel vector is cleared
-    to ints and checked exactly, in int arithmetic on the sparse rows,
-    before it is returned as Fractions.
+The solvers call one sparse API: `kernel`, `rank` and `solve` take a system
+as COO triplets `(rows, cols, vals, ncols, field)`, where entry (rows[k],
+cols[k]) is the sum of every vals[k] there, and return field elements (ints
+over GF(p), Fractions over Q).  Values are ints over GF(p) and ints or
+Fractions over Q; the `homs` assembly hands over integers, its equations
+cleared of denominators.  `kernel` sums the triplets into a dense matrix
+and is the only place that picks a backend per field:
+  * GF(p): numpy `kernel_mod_p` on an int64 matrix mod p; at p = 2 rows are
+    packed into bits and eliminated by XOR, odd p runs a row loop on int64
+    arrays;
+  * Q: multi-modular reconstruction (`kernel_rational`, on dense int rows;
+    a row holding Fractions is first scaled to ints): residue matrices come
+    from one sparse copy of the rows, and each reconstructed kernel vector is
+    cleared to ints and checked exactly, in int arithmetic on the sparse
+    rows, before it is returned as Fractions.
 `rank` and `solve` are read off `kernel`: the rank is ncols minus the kernel
-dimension, and a solution of A x = b is the kernel vector of [A | -b] at the
-extra column, scaled to 1 there.  Every answer is read off the reduced row
-echelon form, so it depends only on the row space: neither row order nor
-duplicate rows change it, and the solution has its free columns set to zero.
+dimension.  `solve` takes several right-hand sides at once, as the columns
+after the first ncols, and reads each solution of A x = b_k off the kernel
+of [A | B]: the vector of the free column of b_k, scaled to -1 there.  If
+some b_k is outside the span of A its column is a pivot, and the call
+returns None.  Every answer is read off the reduced row echelon form, so it
+depends only on the row space: neither row order, row scaling nor duplicate
+rows change it, and each solution has its free columns set to zero.
 
 The dense backends stay public.  Generic elimination over a field object
 (`rref_field`, `kernel_field`, `SpanSolver`) also serves the small
@@ -39,56 +46,55 @@ _MODULAR_PRIMES = (536870909, 536870923, 536870951, 536871001, 536871017,
 # -- the sparse API ----------------------------------------------------------
 
 
-def kernel(rows, ncols, field):
+def kernel(rows, cols, vals, ncols, field):
     """Kernel basis of a sparse system, one vector per free column.
 
-    Over GF(p) each vector is RREF-normalized (1 at its free column); over Q
-    it is scaled to integer entries with no common denominator.
+    The system is given as COO triplets: entry (rows[k], cols[k]) is the sum
+    of every vals[k] there.  Over GF(p) each vector is RREF-normalized (1 at
+    its free column); over Q it is scaled to integer entries with no common
+    denominator.
     """
-    rows = [row for row in rows if row]
-    if not rows:
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
         return [[field.one if j == i else field.zero for j in range(ncols)]
                 for i in range(ncols)]
     if field.char:
-        return [v.tolist()
-                for v in kernel_mod_p(_int64_matrix(rows, ncols), field.char)]
-    return kernel_rational([_integral_row(row, ncols) for row in rows])
+        a = np.zeros((int(rows.max()) + 1, ncols), dtype=np.int64)
+        np.add.at(a, (rows, np.asarray(cols, dtype=np.int64)),
+                  np.asarray(vals, dtype=np.int64))
+        a %= field.char
+        return [v.tolist() for v in kernel_mod_p(a, field.char)]
+    dense = [[0] * ncols for _ in range(int(rows.max()) + 1)]
+    for r, c, x in zip(rows.tolist(), np.asarray(cols).tolist(), vals):
+        dense[r][c] += x
+    if any(type(x) is not int for x in vals):
+        dense = [_clear_denominators(row) for row in dense]
+    return kernel_rational(dense)
 
 
-def rank(rows, ncols, field):
+def rank(rows, cols, vals, ncols, field):
     """Rank of a sparse system."""
-    return ncols - len(kernel(rows, ncols, field))
+    return ncols - len(kernel(rows, cols, vals, ncols, field))
 
 
-def solve(rows, rhs, ncols, field):
-    """One solution of rows * x = rhs (one rhs value per row), or None.
-
-    Free columns are set to zero.
+def solve(rows, cols, vals, ncols, nrhs, field):
+    """Solutions of A x = b_k for every k < nrhs, or None if some b_k has
+    none.  The triplets hold [A | B]: A in the columns below ncols, b_k in
+    column ncols + k.  Each solution has its free columns set to zero.
     """
-    aug = [row if field.is_zero(b) else {**row, ncols: field.neg(b)}
-           for row, b in zip(rows, rhs)]
-    for v in kernel(aug, ncols + 1, field):
-        if not field.is_zero(v[ncols]):
-            scale = field.inv(v[ncols])
-            return [field.mul(x, scale) for x in v[:ncols]]
-    return None
-
-
-def _int64_matrix(rows, ncols):
-    a = np.zeros((len(rows), ncols), dtype=np.int64)
-    a[[r for r, row in enumerate(rows) for _ in row],
-      [c for row in rows for c in row]] = [v for row in rows
-                                           for v in row.values()]
-    return a
-
-
-def _integral_row(row, ncols):
-    """Dense integer multiple of a rational row."""
-    lcm = math.lcm(*(val.denominator for val in row.values()))
-    vec = [0] * ncols
-    for c, val in row.items():
-        vec[c] = val.numerator * (lcm // val.denominator)
-    return vec
+    basis = kernel(rows, cols, vals, ncols + nrhs, field)
+    # each b_k in the span of A leaves its column free, and those columns
+    # come last; if some b_k is a pivot, the tail starts with the vector of
+    # a free column of A, which is zero at column ncols
+    tail = basis[len(basis) - nrhs:] if nrhs else []
+    if len(tail) < nrhs or any(field.is_zero(v[ncols + k])
+                               for k, v in enumerate(tail)):
+        return None
+    out = []
+    for k, v in enumerate(tail):
+        scale = field.neg(field.inv(v[ncols + k]))
+        out.append([field.mul(x, scale) for x in v[:ncols]])
+    return out
 
 
 # -- GF(p), numpy ------------------------------------------------------------
@@ -148,7 +154,9 @@ def _rref_gf2(a):
     """
     ncols = a.shape[1]
     nbytes = (ncols + 7) // 8
-    packed = np.packbits(np.mod(a, 2).astype(np.uint8), axis=1,
+    # the parity survives the wrapping cast to uint8, which avoids an int64
+    # copy of a
+    packed = np.packbits(a.astype(np.uint8) & 1, axis=1,
                          bitorder="little").tobytes()
     rows = {int.from_bytes(packed[i:i + nbytes], "little")
             for i in range(0, len(packed), nbytes)} if nbytes else set()

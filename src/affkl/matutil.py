@@ -19,10 +19,6 @@ def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def transpose(a):
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
-
-
 def mat_inv_int(a):
     """Inverse of an integer matrix with determinant +-1 (exact, via Fractions);
     ValueError for any other matrix."""

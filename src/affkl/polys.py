@@ -37,9 +37,6 @@ class PolyRing:
                 out[tuple(1 if j == i else 0 for j in range(self.nvars))] = c
         return out
 
-    def from_int_vec(self, vec):
-        return self.linear([self.field.from_int(x) for x in vec])
-
     # -- arithmetic --------------------------------------------------------
 
     def add(self, f, g):
@@ -91,14 +88,6 @@ class PolyRing:
         if len(degs) != 1:
             raise SolverError(f"inhomogeneous polynomial of degrees {sorted(degs)}")
         return degs.pop()
-
-    def is_homogeneous(self, f, deg=None):
-        if not f:
-            return True
-        degs = {2 * sum(m) for m in f}
-        if len(degs) != 1:
-            return False
-        return deg is None or degs == {deg}
 
     def constant_part(self, f):
         return f.get((0,) * self.nvars, self.field.zero)
@@ -155,20 +144,6 @@ class PolyRing:
                     rem[mm] = s
         return quot
 
-    def eval_linear_form(self, f, point):
-        """Evaluate a degree-2 (linear in the generators) polynomial at point."""
-        fld = self.field
-        total = fld.zero
-        for m, c in f.items():
-            if sum(m) == 0:
-                total = fld.add(total, c)
-                continue
-            if sum(m) != 1:
-                raise SolverError("not a linear form")
-            i = m.index(1)
-            total = fld.add(total, fld.mul(c, point[i]))
-        return total
-
     # -- matrices of polynomials ---------------------------------------------
 
     def mat_mul(self, a, b):
@@ -195,9 +170,6 @@ class PolyRing:
                     acc = self.add(acc, self.mul(x, y))
             out.append(acc)
         return out
-
-    def mat_sub(self, a, b):
-        return [[self.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
     def mat_eval_poly(self, g, mats, size):
         """Evaluate g(x_0, ..., x_{n-1}) at commuting square matrices."""

@@ -7,6 +7,8 @@ basis expansion for each element; the top summand (the unique one whose
 labels reach the element itself) is stored as that element's representative.
 """
 
+from collections import defaultdict
+
 from .bimodule import LabeledBimodule, b_object, f_object, tensor
 from .errors import IdentificationFailure, SolverError
 from .fdalg import FDAlgebra
@@ -93,36 +95,34 @@ def materialize_summand(m, emat):
                     acc = ring.add(acc, ring.smul(c, emat[i][j]))
             v.append(acc)
         vcols.append(v)
-    r = len(vcols)
-    acts = []
+    # the action images x_g . v_l and the label images e . x, expressed in
+    # the v_l with one solve per degree
+    images = defaultdict(list)     # degree -> [(key, vector over R)]
     for g in range(m.real.dim):
-        mat = [[{} for _ in range(r)] for _ in range(r)]
-        for l in range(r):
-            av = ring.mat_vec(m.act[g], vcols[l])
-            sol = solve_in_basis(vcols, degrees, av, degrees[l] + 2, ring)
-            if sol is None:
+        for l, v in enumerate(vcols):
+            images[degrees[l] + 2].append(
+                (("act", g, l), ring.mat_vec(m.act[g], v)))
+    for lw, (w, xs) in enumerate(m.labels):
+        for xi, x in enumerate(xs):
+            ex = ring.mat_vec(emat, x)
+            if any(ex):
+                images[_module_degree(m, x)].append((("label", lw, xi), ex))
+    coords = {}
+    for deg, items in images.items():
+        sols = solve_in_basis(vcols, degrees, [v for _, v in items], deg, ring)
+        if sols is None:
+            acts = [v for key, v in items if key[0] == "act"]
+            if acts and solve_in_basis(vcols, degrees, acts, deg, ring) is None:
                 raise SolverError("right action does not restrict to the image")
-            for k in range(r):
-                mat[k][l] = sol[k]
-        acts.append(mat)
+            raise SolverError("idempotent image of a label left the image")
+        coords.update(zip((key for key, _ in items), sols))
+    r = len(vcols)
+    acts = [[[coords["act", g, l][k] for l in range(r)] for k in range(r)]
+            for g in range(m.real.dim)]
     labels = []
-    for w, xs in m.labels:
-        vecs = []
-        for x in xs:
-            ex = []
-            for i in range(n):
-                acc = {}
-                for j in range(n):
-                    if emat[i][j] and x[j]:
-                        acc = ring.add(acc, ring.mul(emat[i][j], x[j]))
-                ex.append(acc)
-            if all(not e for e in ex):
-                continue
-            xdeg = _module_degree(m, x)
-            sol = solve_in_basis(vcols, degrees, ex, xdeg, ring)
-            if sol is None:
-                raise SolverError("idempotent image of a label left the image")
-            vecs.append(tuple(sol))
+    for lw, (w, xs) in enumerate(m.labels):
+        vecs = [tuple(coords["label", lw, xi]) for xi in range(len(xs))
+                if ("label", lw, xi) in coords]
         vecs = _independent_subset(vecs, ring)
         if vecs:
             labels.append((w, tuple(vecs)))

@@ -91,6 +91,25 @@ def test_verify_detects_tampered_rep(gl2, tmp_path):
         assert "representative" in str(err.value)
 
 
+def test_missing_rep_is_reported_on_load(gl2, tmp_path, run_cli):
+    path = tmp_path / "cache.json"
+    table = PCanTable(gl2, 2)
+    for u in enumerate_elements(gl2, 1):
+        table.ensure(u)
+    cachemod.save_table(table, str(path))
+    doc = json.loads(path.read_text())
+    key = next(k for k in sorted(doc["reps"]) if k in doc["entries"]
+               and not k.startswith("e;"))
+    del doc["reps"][key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheCorrupt) as err:
+        cachemod.load_table(str(path))
+    assert key in str(err.value)
+    r = run_cli(["cache", "verify", "--cache", str(path)])
+    assert r.returncode == 5
+    assert key in r.stderr
+
+
 def test_validate_rejects_tampered_rep_under_optimize(gl2, tmp_path,
                                                      child_env):
     # `python -O` strips assert statements; validate() must still raise

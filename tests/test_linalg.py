@@ -199,7 +199,7 @@ def test_kernel_over_q_returns_integral_fractions():
     rows = [{0: Fraction(1, 2), 1: Fraction(-2, 3), 3: Fraction(5, 7)},
             {1: Fraction(3, 4), 2: Fraction(1, 6)},
             {0: Fraction(2 ** 70 + 1, 3), 3: Fraction(1, 2 ** 40)}]
-    basis = kernel(rows, 5, field)
+    basis = kernel(*_coo(rows), 5, field)
     assert len(basis) == 2
     for v in basis:
         assert all(type(x) is Fraction and x.denominator == 1 for x in v)
@@ -267,6 +267,22 @@ def _sparse_cases(field, seed):
         yield rows, ncols
 
 
+def _coo(rows, rhs=(), ncols=None):
+    """COO triplets of {column: value} rows, with rhs[r] (if given) at
+    column ncols of row r."""
+    entries = [(r, c, val) for r, row in enumerate(rows)
+               for c, val in row.items()]
+    entries += [(r, ncols, b) for r, b in enumerate(rhs)]
+    return ([r for r, _, _ in entries], [c for _, c, _ in entries],
+            [val for _, _, val in entries])
+
+
+def _solve1(rows, rhs, ncols, field):
+    """The one solution of rows * x = rhs from the batched solve, or None."""
+    sols = solve(*_coo(rows, rhs, ncols), ncols, 1, field)
+    return None if sols is None else sols[0]
+
+
 def _dense(rows, ncols, field):
     return [[row.get(c, field.zero) for c in range(ncols)] for row in rows]
 
@@ -284,7 +300,7 @@ def _apply(rows, x, field):
 def test_sparse_kernel_matches_dense_backends():
     for k, field in enumerate(SPARSE_FIELDS):
         for rows, ncols in _sparse_cases(field, 10 + k):
-            basis = kernel(rows, ncols, field)
+            basis = kernel(*_coo(rows), ncols, field)
             dense = _dense(rows, ncols, field)
             if field.char:
                 ref = kernel_mod_p(np.array(dense, dtype=np.int64), field.char)
@@ -311,13 +327,15 @@ def test_sparse_rank_and_solve_match_dense_backends():
             dense = _dense(rows, ncols, field)
             if field.char:
                 a = np.array(dense, dtype=np.int64)
-                assert rank(rows, ncols, field) == rank_mod_p(a, field.char)
+                assert (rank(*_coo(rows), ncols, field)
+                        == rank_mod_p(a, field.char))
             else:
-                assert rank(rows, ncols, field) == len(rref_field(dense, field)[1])
+                assert (rank(*_coo(rows), ncols, field)
+                        == len(rref_field(dense, field)[1]))
             x0 = [_random_value(rng, field) for _ in range(ncols)]
             for rhs in (_apply(rows, x0, field),
                         [_random_value(rng, field) for _ in rows]):
-                x = solve(rows, rhs, ncols, field)
+                x = _solve1(rows, rhs, ncols, field)
                 if field.char:
                     ref = solve_mod_p(a, np.array(rhs), field.char)
                     ref = None if ref is None else ref.tolist()
@@ -326,7 +344,8 @@ def test_sparse_rank_and_solve_match_dense_backends():
                 assert x == ref
                 if x is not None:
                     assert _apply(rows, x, field) == rhs
-            assert solve(rows, _apply(rows, x0, field), ncols, field) is not None
+            assert (_solve1(rows, _apply(rows, x0, field), ncols, field)
+                    is not None)
 
 
 def test_sparse_api_ignores_row_order():
@@ -338,9 +357,10 @@ def test_sparse_api_ignores_row_order():
             order = list(range(len(rows)))
             rng.shuffle(order)
             shuffled = [rows[i] for i in order]
-            assert kernel(shuffled, ncols, field) == kernel(rows, ncols, field)
-            assert (solve(shuffled, [rhs[i] for i in order], ncols, field)
-                    == solve(rows, rhs, ncols, field))
+            assert (kernel(*_coo(shuffled), ncols, field)
+                    == kernel(*_coo(rows), ncols, field))
+            assert (_solve1(shuffled, [rhs[i] for i in order], ncols, field)
+                    == _solve1(rows, rhs, ncols, field))
 
 
 def test_sparse_api_edge_cases():
@@ -348,19 +368,51 @@ def test_sparse_api_edge_cases():
         one, zero = field.one, field.zero
         # no rows, or only empty ones: the whole space
         unit = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-        assert kernel([], 3, field) == unit
-        assert kernel([{}, {}], 3, field) == unit
-        assert rank([], 3, field) == 0
-        assert solve([], [], 3, field) == [zero] * 3
+        assert kernel([], [], [], 3, field) == unit
+        assert kernel(*_coo([{}, {}]), 3, field) == unit
+        assert rank([], [], [], 3, field) == 0
+        assert _solve1([], [], 3, field) == [zero] * 3
         # no columns
-        assert kernel([], 0, field) == []
-        assert rank([{}], 0, field) == 0
-        assert solve([{}], [zero], 0, field) == []
-        assert solve([{}], [one], 0, field) is None
+        assert kernel([], [], [], 0, field) == []
+        assert rank(*_coo([{}]), 0, field) == 0
+        assert _solve1([{}], [zero], 0, field) == []
+        assert _solve1([{}], [one], 0, field) is None
         # duplicate rows count once
         row = {0: one, 2: field.neg(one)}
-        assert rank([row, dict(row), dict(row)], 3, field) == 1
-        assert kernel([row, dict(row)], 3, field) == kernel([row], 3, field)
+        assert rank(*_coo([row, dict(row), dict(row)]), 3, field) == 1
+        assert (kernel(*_coo([row, dict(row)]), 3, field)
+                == kernel(*_coo([row]), 3, field))
         # a row holding only a right-hand side is inconsistent
-        assert solve([{0: one}, {}], [one, one], 2, field) is None
-        assert solve([{0: one}, {}], [one, zero], 2, field) == [one, zero]
+        assert _solve1([{0: one}, {}], [one, one], 2, field) is None
+        assert _solve1([{0: one}, {}], [one, zero], 2, field) == [one, zero]
+        # duplicate entries are summed, and entries summing to zero vanish
+        two = field.add(one, one)
+        assert kernel([0, 0], [1, 1], [one, field.neg(one)], 3, field) == unit
+        assert (rank([0, 0, 1], [0, 0, 1], [one, one, one], 2, field)
+                == (1 if field.is_zero(two) else 2))
+
+
+def test_solve_several_right_hand_sides():
+    for field in SPARSE_FIELDS:
+        one, zero = field.one, field.zero
+        # A = [[1, 1, 0], [0, 1, 1], [1, 0, 1]] has rank 2 over GF(2) only
+        rows = [{0: one, 1: one}, {1: one, 2: one}, {0: one, 2: one}]
+        assert solve(*_coo(rows), 3, 0, field) == []
+        # [A | B]: column 3 + k holds b_k
+        rhss = [[one, one, zero], [zero, zero, zero], [zero, one, one]]
+        r, c, v = _coo(rows)
+        for k, b in enumerate(rhss):
+            for i, val in enumerate(b):
+                if val != zero:
+                    r, c, v = r + [i], c + [3 + k], v + [val]
+        sols = solve(r, c, v, 3, len(rhss), field)
+        assert len(sols) == len(rhss)
+        for x, b in zip(sols, rhss):
+            assert _apply(rows, x, field) == b
+            assert x == _solve1(rows, b, 3, field)
+        # b = e_0 lies outside the span over GF(2), so the whole call fails
+        sols = solve(r + [0], c + [6], v + [one], 3, 4, field)
+        if field.char == 2:
+            assert sols is None
+        else:
+            assert _apply(rows, sols[3], field) == [one, zero, zero]

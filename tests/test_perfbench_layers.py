@@ -49,11 +49,13 @@ def test_recorder_wraps_and_restores_every_entry_point():
         from affkl.fields import PrimeField
         from affkl.linalg import kernel, rank, solve
 
-        assert kernel([{0: 1, 1: 1}], 2, PrimeField(2)) == [[1, 1]]
+        # the system x0 + x1 (= 2) as COO triplets; column 2 holds the rhs
+        assert kernel([0, 0], [0, 1], [1, 1], 2, PrimeField(2)) == [[1, 1]]
         assert rec.entry_calls["linalg.kernel_mod_p"] == 1
-        assert rank([{0: 1, 1: 1}], 2, PrimeField(3)) == 1
+        assert rank([0, 0], [0, 1], [1, 1], 2, PrimeField(3)) == 1
         assert rec.entry_calls["linalg.kernel_mod_p"] == 2
-        assert solve([{0: 1, 1: 1}], [2], 2, PrimeField(3)) == [2, 0]
+        assert solve([0, 0, 0], [0, 1, 2], [1, 1, 2], 2, 1,
+                     PrimeField(3)) == [[2, 0]]
         assert rec.entry_calls["linalg.kernel_mod_p"] == 3
     finally:
         rec.uninstall()
@@ -83,3 +85,28 @@ def test_kl_route_tables_make_no_bimodule_or_linalg_calls():
     assert rec.calls["tilt"] and rec.calls["weyl"]
     for layer in ("bimodule", "homs", "linalg", "fdalg"):
         assert rec.calls[layer] == 0, layer
+
+
+def test_split_reaches_the_layers_the_bimodule_workloads_expect():
+    # worker.EXPECTED needs homs and linalg calls on the bimodule workloads
+    from affkl import build_root_datum
+    from affkl.bimodule import b_object, tensor
+    from affkl.realization import build_realization
+    from affkl.soergel import end0_split
+    from affkl.weyl import simple_reflections
+
+    datum = build_root_datum("GL2")
+    real = build_realization(datum, 2)
+    s = simple_reflections(datum, conj_search=False)[0]
+    big = tensor(b_object(real, s), b_object(real, s))
+    layers = _load_layers()
+    rec = layers.Recorder()
+    rec.install()
+    try:
+        pieces = end0_split(big)
+    finally:
+        rec.uninstall()
+    assert len(pieces) == 2
+    for name in ("homs.hom_space", "homs.solve_in_basis",
+                 "linalg.kernel_mod_p"):
+        assert rec.entry_calls[name], name
