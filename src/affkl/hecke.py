@@ -9,6 +9,7 @@ from .errors import DatumMismatch
 from .laurent import LaurentPoly, ONE, V
 from .weyl import (
     bruhat_leq,
+    is_right_descent,
     omega_factorize,
     reduced_word,
     simple_reflections,
@@ -120,10 +121,8 @@ def _mult_by_simple(a, s):
     se = s.as_element
     for x, p in a.terms.items():
         xs = x * se
-        if xs.length > x.length:
-            out[xs] = out.get(xs, LaurentPoly()) + p
-        else:
-            out[xs] = out.get(xs, LaurentPoly()) + p
+        out[xs] = out.get(xs, LaurentPoly()) + p
+        if is_right_descent(x, s):
             out[x] = out.get(x, LaurentPoly()) + p * _VINV_MINUS_V
     return HeckeElt(a.datum, out)
 
@@ -188,14 +187,15 @@ def canonical_basis(w):
     s = refls[word[0]]
     uprime = s.as_element * u
     b_s = HeckeElt(datum, {s.as_element: ONE, wid(datum): V})
-    prod = mult(b_s, canonical_basis(uprime))
+    b_uprime = canonical_basis(uprime)
+    prod = mult(b_s, b_uprime)
     # subtract mu-corrections: mu(z, u') b_z for z with sz < z
     out = prod
-    for z, p in prod.terms.items():
+    for z in prod.terms:
         if z == u:
             continue
-        mu = canonical_basis(uprime).coeff(z).coeff(1)
-        if mu and (s.as_element * z).length < z.length:
+        mu = b_uprime.coeff(z).coeff(1)
+        if mu and is_right_descent(z.inverse(), s):
             out = out - canonical_basis(z).scale(mu)
     _KL_CACHE[key] = out
     return out

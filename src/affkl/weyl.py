@@ -165,6 +165,27 @@ def length(x):
     return total
 
 
+def is_right_descent(x, s):
+    """Whether l(x s) < l(x), read off one root pairing without forming x s.
+
+    For x = w t(lam) (Iwahori-Matsumoto): a finite s_i is a right descent
+    iff n = <lam, alpha_i^vee> > 0, or n = 0 and w(alpha_i) < 0; the affine
+    reflection of a component with maximal short root beta iff
+    n = <lam, beta^vee> < -1, or n = -1 and w(beta) > 0.
+    """
+    datum = x.datum
+    if s.kind == "finite":
+        root = datum.roots[datum.simple_indices[s.root_index]]
+        n = pairing(datum, x.trans, datum.coroot_of(root))
+        if n:
+            return n > 0
+        return not datum.is_positive_root(tuple(mat_vec(x.fin, root)))
+    n = pairing(datum, x.trans, datum.coroot_of(s.beta))
+    if n != -1:
+        return n < -1
+    return datum.is_positive_root(tuple(mat_vec(x.fin, s.beta)))
+
+
 # -- simple reflections ----------------------------------------------------
 
 
@@ -232,7 +253,7 @@ def _with_conj_data(datum, refls, s):
     for w in candidates:
         winv = w.inverse()
         for sp in finite:
-            if w.length + 1 != (w * sp.as_element).length:
+            if is_right_descent(w, sp):
                 continue
             if w * sp.as_element * winv == target:
                 return SimpleReflection(
@@ -247,31 +268,48 @@ def _with_conj_data(datum, refls, s):
 # -- omega -----------------------------------------------------------------
 
 
-def omega_factorize(x):
-    """Unique factorization x = omega * u with l(omega) = 0 and u in W_aff."""
+_FACTOR_CACHE = {}
+
+
+def _factor(x):
+    """(omega, u, word) with x = omega * u, l(omega) = 0 and u = s_word.
+
+    One right-descent walk, least index first; the right descents of
+    omega * u are those of u, so word is the reduced word of u.
+    """
+    hit = _FACTOR_CACHE.get(x)
+    if hit is not None:
+        return hit
     datum = x.datum
     refls = simple_reflections(datum, conj_search=False)
     om = x
     suffix = []
-    while om.length > 0:
-        for s in refls:
-            if (om * s.as_element).length < om.length:
-                om = om * s.as_element
-                suffix.append(s)
-                break
-        else:
+    for _ in range(x.length):
+        s = next((s for s in refls if is_right_descent(om, s)), None)
+        if s is None:
             raise NotInWaff("element of positive length has no right descent")
+        om = om * s.as_element
+        suffix.append(s)
+    om._len = 0
     u = wid(datum)
     for s in suffix:
         u = s.as_element * u
-    assert (om * u) == x
+    u._len = len(suffix)
+    assert om * u == x
+    hit = (om, u, tuple(s.index for s in reversed(suffix)))
+    _FACTOR_CACHE[x] = hit
+    return hit
+
+
+def omega_factorize(x):
+    """Unique factorization x = omega * u with l(omega) = 0 and u in W_aff."""
+    om, u, _ = _factor(x)
     return om, u
 
 
 def in_waff(x):
     """Membership in W_aff = W_f x| ZR (translation part in the root lattice)."""
-    om, _ = omega_factorize(x)
-    return om.is_identity()
+    return _factor(x)[0].is_identity()
 
 
 def conj_simple(omega, s):
@@ -365,21 +403,10 @@ def reduced_word(u):
 
     The returned list (i_1, ..., i_k) satisfies u = s_{i_1} * ... * s_{i_k}.
     """
-    if not in_waff(u):
+    om, _, word = _factor(u)
+    if not om.is_identity():
         raise NotInWaff(f"{u} is not in the affine Weyl group")
-    refls = simple_reflections(u.datum, conj_search=False)
-    word = []
-    cur = u
-    while cur.length > 0:
-        for s in refls:
-            if (cur * s.as_element).length < cur.length:
-                word.append(s.index)
-                cur = cur * s.as_element
-                break
-        else:
-            raise NotInWaff("stuck: no right descent")
-    word.reverse()
-    return tuple(word)
+    return word
 
 
 def element_from_word(datum, word, omega=None):
@@ -402,17 +429,19 @@ def bruhat_leq(x, y):
 
 
 def _bruhat_waff(x, y):
-    if x.length > y.length:
-        return False
-    if x.length == y.length:
-        return x == y
+    # Strip the least left descent s of y, and of x when it is one; x <= y is
+    # unchanged.  Left descents of y are right descents of y^{-1}.
     refls = simple_reflections(x.datum, conj_search=False)
-    s = next(s for s in refls if (s.as_element * y).length < y.length)
-    sy = s.as_element * y
-    sx = s.as_element * x
-    if sx.length < x.length:
-        return _bruhat_waff(sx, sy)
-    return _bruhat_waff(x, sy)
+    xinv, yinv = x.inverse(), y.inverse()
+    lx, ly = x.length, y.length
+    while lx < ly:
+        s = next(s for s in refls if is_right_descent(yinv, s))
+        yinv = yinv * s.as_element
+        ly -= 1
+        if is_right_descent(xinv, s):
+            xinv = xinv * s.as_element
+            lx -= 1
+    return xinv == yinv
 
 
 def enumerate_elements(datum, max_len, sector="waff_only", omegas=None):
@@ -427,12 +456,13 @@ def enumerate_elements(datum, max_len, sector="waff_only", omegas=None):
     refls = simple_reflections(datum, conj_search=False)
     layer = {wid(datum)}
     seen = {wid(datum)}
-    for _ in range(max_len):
+    for step in range(1, max_len + 1):
         nxt = set()
         for x in layer:
             for s in refls:
-                y = x * s.as_element
-                if y not in seen and y.length == x.length + 1:
+                if not is_right_descent(x, s):
+                    y = x * s.as_element
+                    y._len = step
                     nxt.add(y)
         seen |= nxt
         layer = nxt

@@ -1,14 +1,18 @@
 import pytest
 
-from affkl.errors import NotFinitary, NotLengthZero, OmegaUnbounded
+from affkl import build_root_datum, weyl
+from affkl.errors import NotFinitary, NotInWaff, NotLengthZero, OmegaUnbounded
 from affkl.serialize import element_from_str
 from affkl.weyl import (
+    ExtWeylElt,
     bruhat_leq,
     conj_simple,
     element_from_word,
     enumerate_elements,
     finitary_data,
     finitary_data_over,
+    in_waff,
+    is_right_descent,
     min_double_coset_reps,
     omega_elements,
     omega_factorize,
@@ -245,3 +249,99 @@ def test_serialization_round_trip(gl2):
         from affkl.weyl import from_json
 
         assert from_json(gl2, js) == x
+
+
+REGISTRY = ("GL2", "GL3", "A1-sc", "A1-adj", "A1xA1-sc", "A2-sc", "A3-sc",
+            "B2-sc", "C3-sc", "G2-sc")
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_right_descent_matches_length(name):
+    # A1xA1-sc has two affine reflections; GL2 and GL3 have infinite Omega
+    d = build_root_datum(name)
+    refls = simple_reflections(d, conj_search=False)
+    omegas = omega_elements(d, bound=1)
+    for u in enumerate_elements(d, 4):
+        for om in omegas:
+            x = om * u
+            for s in refls:
+                expect = (x * s.as_element).length < x.length
+                assert is_right_descent(x, s) == expect, (name, x, s)
+
+
+def _reference_factor(x):
+    """omega and the reduced word of u, by the length-difference walk."""
+    refls = simple_reflections(x.datum, conj_search=False)
+    om, suffix = x, []
+    while om.length > 0:
+        s = next(s for s in refls if (om * s.as_element).length < om.length)
+        om = om * s.as_element
+        suffix.append(s.index)
+    return om, tuple(reversed(suffix))
+
+
+def _reference_bruhat_waff(x, y):
+    if x.length >= y.length:
+        return x == y
+    refls = simple_reflections(x.datum, conj_search=False)
+    s = next(s for s in refls if (s.as_element * y).length < y.length)
+    sx = s.as_element * x
+    if sx.length < x.length:
+        return _reference_bruhat_waff(sx, s.as_element * y)
+    return _reference_bruhat_waff(x, s.as_element * y)
+
+
+@pytest.mark.parametrize("name", ("GL3", "A2-sc", "B2-sc", "G2-sc"))
+def test_factor_walk_matches_length_walk(name):
+    d = build_root_datum(name)
+    waff = enumerate_elements(d, 5)
+    omegas = omega_elements(d, bound=1)
+    for u in waff:
+        assert reduced_word(u) == _reference_factor(u)[1]
+        for om in omegas:
+            x = om * u
+            ref_om, ref_word = _reference_factor(x)
+            assert omega_factorize(x) == (ref_om, element_from_word(d, ref_word))
+            assert in_waff(x) == ref_om.is_identity()
+    om = max(omegas, key=lambda e: e.canonical_str())
+    small = [u for u in waff if u.length <= 4]
+    for x in small:
+        for y in small:
+            expect = _reference_bruhat_waff(x, y)
+            assert bruhat_leq(x, y) == expect, (name, x, y)
+            assert bruhat_leq(om * x, om * y) == expect
+            if not om.is_identity():
+                assert not bruhat_leq(om * x, y)
+
+
+def test_factor_memo_keys(gl2):
+    x = element_from_word(gl2, (1, 0, 1), omega=omega_elements(gl2)[0])
+    twin = ExtWeylElt(gl2, x.fin, x.trans)
+    assert twin is not x and twin == x
+    assert omega_factorize(twin) == omega_factorize(x)
+    assert weyl._factor(twin) is weyl._factor(x)
+    # t(1) has the same (fin, trans) over A1-sc and A1-adj, but it is
+    # t(varpi) outside W_aff over A1-sc and t(alpha) of length 2 over A1-adj
+    sc, adj = build_root_datum("A1-sc"), build_root_datum("A1-adj")
+    x_sc, x_adj = translation(sc, (1,)), translation(adj, (1,))
+    assert (x_sc.fin, x_sc.trans) == (x_adj.fin, x_adj.trans)
+    assert not in_waff(x_sc)
+    assert in_waff(x_adj) and reduced_word(x_adj) == (1, 0)
+    for x in (x_sc, x_adj):
+        om, u = omega_factorize(x)
+        fp = x.datum.fingerprint
+        assert om.datum.fingerprint == fp and u.datum.fingerprint == fp
+        assert om * u == x
+
+
+def test_reduced_word_outside_waff(gl2):
+    refls = simple_reflections(gl2, conj_search=False)
+    for om in omega_elements(gl2, bound=1):
+        if om.is_identity():
+            continue
+        x = om * refls[0].as_element * refls[1].as_element
+        # a cold call, then one that reads the memo
+        for _ in range(2):
+            with pytest.raises(NotInWaff):
+                reduced_word(x)
+        assert omega_factorize(x)[0] == om
