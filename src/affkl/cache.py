@@ -85,7 +85,13 @@ def load_table(path, datum=None):
         table.entries[w] = hecke_from_json(datum, entry["coeffs"])
     for key, repj in doc.get("reps", {}).items():
         w = element_from_str(datum, key)
-        table.reps[w] = bimodule_from_json(table.real, repj)
+        rep = bimodule_from_json(table.real, repj)
+        # ensure() builds ch(rep(w)·B_s) from this, and may skip the split on it
+        if w in table.entries and rep.char_hint != table.entries[w]:
+            raise CacheCorrupt(
+                f"{path}: representative {key} has a character other than "
+                f"its entry")
+        table.reps[w] = rep
     # ensure() reads the representative of every entry below its target
     missing = set(table.entries) - set(table.reps) if table.real else set()
     if missing:

@@ -415,9 +415,10 @@ def _factor_q(mu):
     """Coprime factorization over Q via sympy (irreducible powers)."""
     import sympy
 
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c) * x ** i for i, c in enumerate(mu))
-    _, factors = sympy.Poly(expr, x).factor_list()
+    # from the coefficient list: summing sympy expressions would import
+    # sympy.tensor and sympy.combinatorics on first use
+    dense = [sympy.Rational(c) for c in reversed(mu)]
+    _, factors = sympy.Poly(dense, sympy.Symbol("x")).factor_list()
     out = []
     for fac, mult in factors:
         coeffs = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]

@@ -132,7 +132,8 @@ def _mult_by_elt(a, w):
     om, u = omega_factorize(w)
     refls = simple_reflections(a.datum, conj_search=False)
     # a * H_{omega u} = a * H_omega * H_{s_1} ... H_{s_k}
-    out = HeckeElt(a.datum, {x * om: p for x, p in a.terms.items()})
+    out = a if om.is_identity() else HeckeElt(
+        a.datum, {x * om: p for x, p in a.terms.items()})
     for i in reduced_word(u):
         out = _mult_by_simple(out, refls[i])
     return out

@@ -5,19 +5,24 @@ of primitive idempotents of the degree-0 endomorphism algebra.  Walking up
 the Bruhat order and peeling known summands off B(y-rep) * B_s yields the
 basis expansion for each element; the top summand (the unique one whose
 labels reach the element itself) is stored as that element's representative.
+
+Before splitting M = rep(y) * B_s, the character ch(M) = p-b_y * b_s is read:
+when no coefficient below the top has a term at an exponent <= 0, M has no
+lower summand (by positivity of the p-canonical basis, in every
+characteristic), so M itself is the representative and End^0 is never built.
 """
 
 from collections import defaultdict
 
-from .bimodule import LabeledBimodule, b_object, f_object, tensor
+from .bimodule import LabeledBimodule, b_object, character, f_object, tensor
 from .errors import IdentificationFailure, SolverError
 from .fdalg import FDAlgebra
-from .hecke import HeckeElt, mult as hecke_mult, unit as hecke_unit
+from .hecke import mult as hecke_mult, unit as hecke_unit
 from .homs import SlotMap, hom_space, solve_in_basis
 from .laurent import LaurentPoly, ONE
 from .linalg import SpanSolver, rref_field
 from .realization import build_realization
-from .weyl import bruhat_leq, omega_factorize, reduced_word, simple_reflections, wid
+from .weyl import bruhat_leq, omega_factorize, reduced_word, simple_reflections
 
 
 # -- splitting ---------------------------------------------------------------
@@ -47,6 +52,9 @@ def end0_split(m):
         table.append(row)
     alg = FDAlgebra(fld, table, unit)
     idems = alg.complete_primitive_idempotents()
+    if len(idems) == 1:
+        # a complete family of one idempotent is the identity: M is local
+        return [(ident, _whole_summand(m))]
     out = []
     for coords in idems:
         emat = [[{} for _ in range(m.rank)] for _ in range(m.rank)]
@@ -131,6 +139,18 @@ def materialize_summand(m, emat):
         wordlen=m.wordlen, char_hint=None)
 
 
+def _whole_summand(m):
+    """M as its own indecomposable summand: what materialize_summand returns
+    for the identity idempotent, without the per-degree solves."""
+    labels = []
+    for w, xs in m.labels:
+        vecs = _independent_subset([x for x in xs if any(x)], m.real.ring)
+        if vecs:
+            labels.append((w, tuple(vecs)))
+    return LabeledBimodule(m.real, m.degrees, m.act, tuple(labels),
+                           wordlen=m.wordlen, char_hint=None)
+
+
 def _independent_subset(vecs, ring):
     """Greedy maximal independent subset over the fraction field."""
     from .linalg import poly_rank
@@ -204,7 +224,7 @@ class PCanTable:
             self.real = build_realization(datum, char)
         self.entries = {}
         self.reps = {}
-        self.stats = {"computed": 0, "cache_hits": 0}
+        self.stats = {"computed": 0, "cache_hits": 0, "splits_skipped": 0}
 
     def realization_hash(self):
         return self.real.realization_hash() if self.real else "kl"
@@ -246,22 +266,23 @@ class PCanTable:
         if y.length != u.length - 1:
             raise ValueError("word does not end with a descent")
         self.ensure(y)
-        rep_y = self.reps[y]
-        big = tensor(rep_y, b_object(self.real, s))
-        ch = hecke_mult(self.entries[y],
-                        HeckeElt(self.datum, {s.as_element: ONE,
-                                              wid(self.datum): LaurentPoly.v()}))
-        try:
-            pieces = end0_split(big)
-        except SolverError as exc:
-            words = " ".join(f"s{i}" for i in word)
-            raise SolverError(
-                f"{u.canonical_str()} (word {words}): End^0 split of "
-                f"rep(y)·B_s with y = {y.canonical_str()}, s = s{s.index} "
-                f"failed: {exc}") from exc
+        big = tensor(self.reps[y], b_object(self.real, s))
+        ch = character(big)
+        if _character_proves_indecomposable(ch, u):
+            self.stats["splits_skipped"] += 1
+            summands = [_whole_summand(big)]
+        else:
+            try:
+                summands = [piece for _, piece in end0_split(big)]
+            except SolverError as exc:
+                words = " ".join(f"s{i}" for i in word)
+                raise SolverError(
+                    f"{u.canonical_str()} (word {words}): End^0 split of "
+                    f"rep(y)·B_s with y = {y.canonical_str()}, s = s{s.index} "
+                    f"failed: {exc}") from exc
         tops = []
         lower = []
-        for _, piece in pieces:
+        for piece in summands:
             if u in piece.label_map():
                 tops.append(piece)
             else:
@@ -288,6 +309,18 @@ class PCanTable:
                 raise IdentificationFailure(
                     f"expansion of {u} is supported at {z} above it")
         return expansion, tops[0]
+
+
+def _character_proves_indecomposable(ch, u):
+    """True when ch = ch(M) leaves no room for a summand of M other than B_u.
+
+    A lower summand B_z(k)^{m_z} adds the self-dual m_z(v) != 0 to the
+    coefficient at z, so that coefficient gets a term at an exponent <= 0;
+    every other contribution at z is non-negative (positivity of the
+    p-canonical basis, Jensen-Williamson), so nothing cancels it.
+    """
+    return all(e > 0 for z in ch.support() if z != u
+               for e in ch.coeff(z).coeffs)
 
 
 def _top_label(piece):

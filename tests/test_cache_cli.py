@@ -91,6 +91,21 @@ def test_verify_detects_tampered_rep(gl2, tmp_path):
         assert "representative" in str(err.value)
 
 
+def test_rep_character_is_checked_on_load(gl2, tmp_path):
+    # the split decision for rep(w)·B_s reads the stored character of rep(w)
+    path = tmp_path / "cache.json"
+    doc, key = _saved_gl2_table(gl2, path)
+    char = doc["reps"][key]["char"]
+    assert char == doc["entries"][key]["coeffs"]
+    inner = sorted(char)[0]
+    exp = sorted(char[inner])[0]
+    char[inner][exp] += 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheCorrupt) as err:
+        cachemod.load_table(str(path))
+    assert key in str(err.value)
+
+
 def test_missing_rep_is_reported_on_load(gl2, tmp_path, run_cli):
     path = tmp_path / "cache.json"
     table = PCanTable(gl2, 2)
@@ -178,6 +193,12 @@ def test_cli_pkl(run_cli):
     # char 0 agrees with the canonical recursion
     r2 = run_cli(["pkl", "--datum", "GL2", "--p", "0", "--w", "s1 s0 s1"])
     assert "H[s1 s0 s1]" in r2.stdout
+    # s1 s0 is proved indecomposable by its character: no End^0 split
+    r4 = run_cli(["pkl", "--datum", "GL2", "--p", "2", "--w", "s1 s0",
+                  "--stats", "--cache", "fresh.json"])
+    assert r4.returncode == 0
+    stats = json.loads(r4.stderr.strip().splitlines()[-1])
+    assert stats["splits_skipped"] >= 1
     r3 = run_cli(["pkl", "--datum", "GL2", "--p", "2", "--w", "x9"])
     assert r3.returncode == 2
 

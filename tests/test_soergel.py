@@ -1,11 +1,12 @@
 import pytest
 
-from affkl import soergel
-from affkl.bimodule import b_object, tensor
+from affkl import build_root_datum, soergel
+from affkl.bimodule import b_object, character, tensor
 from affkl.errors import SolverError
 from affkl.hecke import bar, canonical_basis, mult, unit
 from affkl.laurent import LaurentPoly, ONE
 from affkl.realization import build_realization
+from affkl.serialize import parse_element_grammar
 from affkl.soergel import PCanTable, end0_split, is_shifted_iso, p_canonical, p_kl
 from affkl.weyl import (
     element_from_word,
@@ -140,20 +141,80 @@ def test_base_change_positive(gl2, gl2_tables):
 
 
 def test_split_error_names_element_word_and_stage(gl2, monkeypatch):
+    # at p=2 the character of rep(s1 s0)·B_s1 has 1 + v^2 at s1, so the
+    # character test cannot skip this split
     table = PCanTable(gl2, 2)
-    for y in enumerate_elements(gl2, 1):
+    for y in enumerate_elements(gl2, 2):
         table.ensure(y)
-    u = next(w for w in enumerate_elements(gl2, 2) if w.length == 2)
+    u = parse_element_grammar(gl2, "s1 s0 s1")
+    calls = []
 
     def failing_split(m):
+        calls.append(m)
         raise SolverError("End^0 is not closed under composition")
 
     monkeypatch.setattr(soergel, "end0_split", failing_split)
     with pytest.raises(SolverError) as err:
         table.ensure(u)
+    assert len(calls) == 1
     msg = str(err.value)
     words = " ".join(f"s{i}" for i in reduced_word(u))
     assert f"{u.canonical_str()} (word {words})" in msg
     assert "End^0 split of rep(y)·B_s" in msg
     assert "not closed under composition" in msg
     assert u not in table.entries
+
+
+def _rep_times_bs(table, u):
+    """M = rep(y)·B_s for the last letter s of u's reduced word, y = us."""
+    s = simple_reflections(table.datum, conj_search=False)[reduced_word(u)[-1]]
+    y = u * s.as_element
+    table.ensure(y)
+    return tensor(table.reps[y], b_object(table.real, s))
+
+
+@pytest.mark.parametrize("name, p, word, fires, summands", [
+    ("GL2", 2, "s1 s0", True, 1),
+    # M is indecomposable, but p-b_{s1 s0 s1} itself has the coefficient
+    # 1 + v^2 at s1, so the character cannot tell it from a split M
+    ("GL2", 2, "s1 s0 s1", False, 1),
+    # b_{s1 s2}·b_{s1} = b_{s1 s2 s1} + b_{s1}
+    ("A2-sc", 0, "s1 s2 s1", False, 2),
+])
+def test_character_test_decides_from_character(name, p, word, fires, summands):
+    datum = build_root_datum(name)
+    table = PCanTable(datum, p)
+    u = parse_element_grammar(datum, word)
+    big = _rep_times_bs(table, u)
+    assert soergel._character_proves_indecomposable(character(big), u) is fires
+    assert len(end0_split(big)) == summands
+
+
+@pytest.mark.parametrize("name, p, length", [
+    ("GL2", 2, 4), ("GL2", 3, 4), ("GL3", 2, 3), ("A2-sc", 0, 3),
+])
+def test_character_shortcut_matches_full_split(name, p, length):
+    datum = build_root_datum(name)
+    table = PCanTable(datum, p)
+    ring = table.real.ring
+    fired = 0
+    for u in sorted(enumerate_elements(datum, length),
+                    key=lambda w: (w.length, w.canonical_str())):
+        if u.length == 0:
+            table.ensure(u)
+            continue
+        big = _rep_times_bs(table, u)
+        table.ensure(u)
+        if not soergel._character_proves_indecomposable(character(big), u):
+            continue
+        fired += 1
+        rep = table.reps[u]
+        ident = [[ring.one if i == j else {} for j in range(big.rank)]
+                 for i in range(big.rank)]
+        pieces = end0_split(big)
+        assert len(pieces) == 1, u
+        for full in (pieces[0][1], soergel.materialize_summand(big, ident)):
+            assert full.degrees == rep.degrees, u
+            assert full.act == rep.act, u
+            assert full.labels == rep.labels, u
+    assert fired == table.stats["splits_skipped"] > 0
