@@ -16,6 +16,7 @@ from .weyl import (
     wid,
 )
 
+_VINV = LaurentPoly.v(-1)
 _VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 
@@ -142,10 +143,32 @@ def _mult_by_elt(a, w):
 def mult(a, b):
     """Product in the Hecke algebra."""
     _check(a, b)
-    total = HeckeElt(a.datum)
+    out = {}
     for w, p in b.terms.items():
-        total = total + _mult_by_elt(a, w).scale(p)
-    return total
+        for x, q in _mult_by_elt(a, w).terms.items():
+            out[x] = out.get(x, LaurentPoly()) + q * p
+    return HeckeElt(a.datum, out)
+
+
+def omega_times(om, a):
+    """H_omega * a for length-zero omega: the relabel H_x -> H_{omega x}."""
+    return HeckeElt(a.datum, {om * x: p for x, p in a.terms.items()})
+
+
+def _bs_times(s, b):
+    """b_s * b = (H_s + v) * b in one pass over the terms of b.
+
+    H_s H_x = H_{sx}, plus (v^{-1} - v) H_x when s is a left descent of x;
+    with the v H_x of b_s, x gets v^{-1} p on a left descent and v p off one.
+    """
+    out = {}
+    se = s.as_element
+    for x, p in b.terms.items():
+        sx = se * x
+        out[sx] = out.get(sx, LaurentPoly()) + p
+        q = p * (_VINV if is_right_descent(x.inverse(), s) else V)
+        out[x] = out.get(x, LaurentPoly()) + q
+    return HeckeElt(b.datum, out)
 
 
 def bar(a):
@@ -176,7 +199,7 @@ def canonical_basis(w):
         return _KL_CACHE[key]
     om, u = omega_factorize(w)
     if not om.is_identity():
-        out = mult(unit(datum, om), canonical_basis(u))
+        out = omega_times(om, canonical_basis(u))
         _KL_CACHE[key] = out
         return out
     if u.length == 0:
@@ -187,9 +210,8 @@ def canonical_basis(w):
     word = reduced_word(u)
     s = refls[word[0]]
     uprime = s.as_element * u
-    b_s = HeckeElt(datum, {s.as_element: ONE, wid(datum): V})
     b_uprime = canonical_basis(uprime)
-    prod = mult(b_s, b_uprime)
+    prod = _bs_times(s, b_uprime)
     # subtract mu-corrections: mu(z, u') b_z for z with sz < z
     out = prod
     for z in prod.terms:
@@ -233,8 +255,14 @@ def signed_coset_sum(table, y, K):
         elements = K
     else:
         elements, _ = finitary_data_over(y.datum, K)
-    total = 0
-    for x in elements:
-        val = table.get(y * x, 0)
-        total += -val if x.length % 2 else val
-    return total
+    return signed_sum(table, signed_coset(y, elements))
+
+
+def signed_coset(y, elements):
+    """The pairs (y x, (-1)^{l(x)}) for x in a pre-enumerated W_K."""
+    return [(y * x, -1 if x.length % 2 else 1) for x in elements]
+
+
+def signed_sum(values, coset):
+    """Sum of sign * values[z] over a signed coset; missing keys read 0."""
+    return sum(sign * values.get(z, 0) for z, sign in coset)

@@ -17,7 +17,7 @@ from collections import defaultdict
 from .bimodule import LabeledBimodule, b_object, character, f_object, tensor
 from .errors import IdentificationFailure, SolverError
 from .fdalg import FDAlgebra
-from .hecke import mult as hecke_mult, unit as hecke_unit
+from .hecke import omega_times, unit as hecke_unit
 from .homs import SlotMap, hom_space, solve_in_basis
 from .laurent import LaurentPoly, ONE
 from .linalg import SpanSolver, rref_field
@@ -339,7 +339,7 @@ def p_canonical(w, table):
     base = table.ensure(u)
     if om.is_identity():
         return base
-    return hecke_mult(hecke_unit(table.datum, om), base)
+    return omega_times(om, base)
 
 
 def p_kl(y, w, table):

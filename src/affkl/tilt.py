@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import NegativeMultiplicity, NotMinimalRep, SupportIncomplete
+from .hecke import signed_coset, signed_sum
 from .soergel import p_canonical, p_kl
 from .weyl import finitary_data_over, is_min_double_coset_rep, longest_element
 
@@ -20,7 +21,7 @@ def tilt_mult(w, y, table):
 
 
 def _nonzero_rows(x, table):
-    """Elements with nonzero multiplicity in x's expansion."""
+    """The support of x's expansion, each element with its multiplicity."""
     return {z: p.eval_at_one() for z, p in p_canonical(x, table).terms.items()}
 
 
@@ -59,7 +60,8 @@ def parabolic_tilt_mult(L, K, w, y, table, strict=True):
     wk_elements, wk = finitary_data_over(datum, K)
     if strict:
         _check_min_reps(L, K, (w, y), wl, wk)
-    return _parabolic_mult(w, y, p_canonical(wl * w, table), wk_elements)
+    return _parabolic_mult(w, y, _nonzero_rows(wl * w, table),
+                           signed_coset(y, wk_elements))
 
 
 def _check_min_reps(L, K, elements, wl, wk):
@@ -68,18 +70,10 @@ def _check_min_reps(L, K, elements, wl, wk):
             raise NotMinimalRep(f"{x} is not in the minimal coset set")
 
 
-def _signed_sum(target, y, wk_elements):
-    """Sum over x in W_K of (-1)^l(x) * (target's coefficient at y x)(1)."""
-    total = 0
-    for x in wk_elements:
-        val = target.coeff(y * x).eval_at_one()
-        total += -val if x.length % 2 else val
-    return total
-
-
-def _parabolic_mult(w, y, target, wk_elements):
-    """The signed sum at y of target = p-b_{w_L w}, which must be >= 0."""
-    total = _signed_sum(target, y, wk_elements)
+def _parabolic_mult(w, y, values, coset):
+    """The signed sum over y's coset of the multiplicities in p-b_{w_L w},
+    which must be >= 0."""
+    total = signed_sum(values, coset)
     if total < 0:
         raise NegativeMultiplicity(
             f"signed sum for ({w}, {y}) came out {total}")
@@ -189,16 +183,19 @@ def mult_table(L, K, max_len, table, sector="waff_only", omegas=None,
     )
     out.row_order = tuple(reps)
     out.col_order = tuple(reps)
+    # the cosets y W_K and z y W_K (z in W_L) depend on y alone
+    cosets = {y: signed_coset(y, wk_elements) for y in reps}
+    sweeps = {y: [(z, signed_coset(z * y, wk_elements)) for z in wl_elements]
+              for y in reps} if check_z_independence and L else {}
     for w in reps:
-        target = p_canonical(wl * w, table)
+        values = _nonzero_rows(wl * w, table)
         for y in reps:
-            m = _parabolic_mult(w, y, target, wk_elements)
-            if check_z_independence and L:
-                for z in wl_elements:
-                    alt = _signed_sum(target, z * y, wk_elements)
-                    if alt != m:
-                        raise NegativeMultiplicity(
-                            f"left-coset sweep broke at z={z}: {alt} != {m}")
+            m = _parabolic_mult(w, y, values, cosets[y])
+            for z, coset in sweeps.get(y, ()):
+                alt = signed_sum(values, coset)
+                if alt != m:
+                    raise NegativeMultiplicity(
+                        f"left-coset sweep broke at z={z}: {alt} != {m}")
             if m:
                 out.entries[(w, y)] = m
     return out

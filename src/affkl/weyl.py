@@ -7,6 +7,7 @@ The group law is (w, l) * (y, m) = (wy, y^{-1}(l) + m).
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     ConjDataNotFound,
@@ -47,12 +48,14 @@ class ExtWeylElt:
     def __mul__(self, other):
         if self.datum.fingerprint != other.datum.fingerprint:
             raise DatumMismatch("elements live over different data")
-        yinv = _fin_inverse(other.fin)
-        return ExtWeylElt(
-            self.datum,
-            mat_mul(self.fin, other.fin),
-            tuple(a + b for a, b in zip(mat_vec(yinv, self.trans), other.trans)),
-        )
+        key = (self.fin, other.fin)
+        hit = _MUL_CACHE.get(key)
+        if hit is None:
+            hit = _MUL_CACHE[key] = (mat_mul(*key), _fin_inverse(other.fin))
+        fin, yinv = hit
+        lam = self.trans
+        return ExtWeylElt(self.datum, fin, tuple([
+            sum(map(mul, row, lam)) + m for row, m in zip(yinv, other.trans)]))
 
     def inverse(self):
         winv = _fin_inverse(self.fin)
@@ -73,7 +76,11 @@ class ExtWeylElt:
     def fin_word(self):
         """Lexicographically least reduced word of the finite part, in S_f."""
         if self._word is None:
-            self._word = _lex_least_word(self.datum, self.fin)
+            key = (self.datum.fingerprint, self.fin)
+            word = _WORD_CACHE.get(key)
+            if word is None:
+                word = _WORD_CACHE[key] = _lex_least_word(self.datum, self.fin)
+            self._word = word
         return self._word
 
     def canonical_str(self):
@@ -88,6 +95,12 @@ class ExtWeylElt:
 
 
 _INV_CACHE = {}
+# (w, y) -> (w y, y^{-1}) for finite parts; a matrix product does not depend
+# on the datum, and finite parts range over W_f, so this stays small
+_MUL_CACHE = {}
+# (datum fingerprint, w) -> lexicographically least word of w; the word
+# depends on the simple roots, so the key needs the datum
+_WORD_CACHE = {}
 
 
 def _fin_inverse(mat):
@@ -154,15 +167,29 @@ def _lex_least_word(datum, fin):
 
 def length(x):
     """Length of w * t(lambda), summed over positive roots."""
+    datum = x.datum
+    signs = _positive_images(x)
     total = 0
-    for alpha, cov in x.datum.positive_roots:
-        n = pairing(x.datum, x.trans, cov)
-        img = tuple(mat_vec(x.fin, alpha))
-        if x.datum.is_positive_root(img):
-            total += abs(n)
-        else:
-            total += abs(n + 1)
+    for alpha, cov in datum.positive_roots:
+        n = pairing(datum, x.trans, cov)
+        total += abs(n) if signs[alpha] else abs(n + 1)
     return total
+
+
+# (datum fingerprint, w) -> {alpha: whether w(alpha) > 0} over the positive
+# roots; positivity is read in the simple roots, so the key needs the datum
+_SIGN_CACHE = {}
+
+
+def _positive_images(x):
+    datum = x.datum
+    key = (datum.fingerprint, x.fin)
+    signs = _SIGN_CACHE.get(key)
+    if signs is None:
+        signs = _SIGN_CACHE[key] = {
+            alpha: datum.is_positive_root(tuple(mat_vec(x.fin, alpha)))
+            for alpha, _ in datum.positive_roots}
+    return signs
 
 
 def is_right_descent(x, s):
@@ -179,11 +206,11 @@ def is_right_descent(x, s):
         n = pairing(datum, x.trans, datum.coroot_of(root))
         if n:
             return n > 0
-        return not datum.is_positive_root(tuple(mat_vec(x.fin, root)))
+        return not _positive_images(x)[root]
     n = pairing(datum, x.trans, datum.coroot_of(s.beta))
     if n != -1:
         return n < -1
-    return datum.is_positive_root(tuple(mat_vec(x.fin, s.beta)))
+    return _positive_images(x)[s.beta]
 
 
 # -- simple reflections ----------------------------------------------------

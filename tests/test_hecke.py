@@ -174,3 +174,27 @@ def test_omega_conjugation_matches_conj_simple(gl2):
         lhs = mult(mult(unit(gl2, om), unit(gl2, s.as_element)),
                    unit(gl2, om.inverse()))
         assert lhs == unit(gl2, conj_simple(om, s).as_element)
+
+
+@pytest.mark.parametrize("name", ("GL2", "A2-sc", "B2-sc", "G2-sc"))
+def test_one_pass_kl_step_matches_mult(name):
+    from affkl import build_root_datum
+    from affkl.hecke import _bs_times, omega_times
+    from affkl.weyl import is_right_descent, omega_elements
+
+    d = build_root_datum(name)
+    refls = simple_reflections(d, conj_search=False)
+    omegas = omega_elements(d, bound=1)
+    descents = set()
+    for u in enumerate_elements(d, 4):
+        for om in omegas:
+            w = om * u
+            b = canonical_basis(w)
+            for s in refls:
+                b_s = HeckeElt(d, {s.as_element: ONE, wid(d): V})
+                assert _bs_times(s, b) == mult(b_s, b), (name, w, s)
+                descents.add(is_right_descent(w.inverse(), s))
+            # left multiplication by H_omega relabels x -> omega x
+            assert omega_times(om, canonical_basis(u)) == b
+            assert omega_times(om, b) == mult(unit(d, om), b)
+    assert descents == {False, True}

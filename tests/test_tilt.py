@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -155,3 +156,64 @@ def test_graded_to_ungraded_collapse(gl2, kl_table, p2_table):
             for y in enumerate_elements(gl2, 4):
                 h = p_kl(y, w, table)
                 assert tilt_mult(w, y, table) == sum(h.coeffs.values())
+
+
+def _oracle_parabolic(wl, wk_elements, w, y):
+    """The signed sum at y, straight from the KL basis of w_L w."""
+    from affkl.hecke import canonical_basis
+
+    b = canonical_basis(wl * w)
+    return sum((-1) ** x.length * b.coeff(y * x).eval_at_one()
+               for x in wk_elements)
+
+
+@pytest.mark.parametrize("name, L, K", (("A2-sc", (0,), (1, 2)),
+                                        ("B2-sc", (0,), (1,))))
+def test_mult_table_matches_per_pair(name, L, K):
+    from affkl import build_root_datum
+    from affkl.weyl import finitary_data_over, min_double_coset_reps
+
+    d = build_root_datum(name)
+    table = PCanTable(d, 0, source="kl")
+    refls = simple_reflections(d, conj_search=False)
+    Ls, Ks = [refls[i] for i in L], [refls[i] for i in K]
+    mt = mult_table(Ls, Ks, 5, table)
+    wl_elements, wl = finitary_data_over(d, Ls)
+    wk_elements, _ = finitary_data_over(d, Ks)
+    reps = [w for w in min_double_coset_reps(Ls, Ks, 5, datum=d)
+            if (wl * w).length <= 5]
+    assert list(mt.row_order) == reps and len(reps) > 3
+    nonzero = 0
+    for w in reps:
+        for y in reps:
+            m = parabolic_tilt_mult(Ls, Ks, w, y, table, strict=True)
+            assert mt.entry(w, y) == m == _oracle_parabolic(
+                wl, wk_elements, w, y), (w, y)
+            nonzero += m != 0
+    assert nonzero == len(mt.entries) > len(reps)
+
+
+def test_negative_target_still_raises(gl2, kl_table, monkeypatch):
+    import affkl.tilt as tilt
+    from affkl.errors import NegativeMultiplicity
+    from affkl.hecke import HeckeElt
+    from affkl.laurent import ONE
+    from affkl.soergel import p_canonical
+
+    e = wid(gl2)
+    sa = simple_reflections(gl2, conj_search=False)[0]
+    monkeypatch.setattr(tilt, "p_canonical",
+                        lambda x, table: -p_canonical(x, table))
+    message = "^" + re.escape(f"signed sum for ({e}, {e}) came out -1") + "$"
+    with pytest.raises(NegativeMultiplicity, match=message):
+        mult_table([], [], 2, kl_table)
+    with pytest.raises(NegativeMultiplicity, match=message):
+        parabolic_tilt_mult([], [], e, e, kl_table)
+    # a target at s_a alone reads 0 on the coset e W_K = {e} but 1 on
+    # s_a e W_K, so the left-coset sweep over W_L = {e, s_a} breaks at s_a
+    monkeypatch.setattr(tilt, "p_canonical", lambda x, table: HeckeElt(
+        gl2, {sa.as_element: ONE}))
+    message = "^" + re.escape(
+        f"left-coset sweep broke at z={sa.as_element}: 1 != 0") + "$"
+    with pytest.raises(NegativeMultiplicity, match=message):
+        mult_table([sa], [], 2, kl_table)

@@ -2,6 +2,7 @@ import pytest
 
 from affkl import build_root_datum, weyl
 from affkl.errors import NotFinitary, NotInWaff, NotLengthZero, OmegaUnbounded
+from affkl.matutil import mat_inv_int, mat_mul, mat_vec
 from affkl.serialize import element_from_str
 from affkl.weyl import (
     ExtWeylElt,
@@ -345,3 +346,93 @@ def test_reduced_word_outside_waff(gl2):
             with pytest.raises(NotInWaff):
                 reduced_word(x)
         assert omega_factorize(x)[0] == om
+
+
+def _finite_group(d):
+    finite = [s for s in simple_reflections(d, conj_search=False)
+              if s.kind == "finite"]
+    return finitary_data_over(d, finite)[0]
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_memoised_group_law(name):
+    # (w, l) * (y, m) = (w y, y^{-1}(l) + m), written out with matutil
+    d = build_root_datum(name)
+    wf = _finite_group(d)
+    pool = [om * u for om in omega_elements(d, bound=1)
+            for u in enumerate_elements(d, 3)]
+    lams = sorted({x.trans for x in pool})
+    inverses = {y.fin: mat_inv_int(y.fin) for y in wf}
+    for i, w in enumerate(wf):
+        for j, y in enumerate(wf):
+            for k, lam in enumerate(lams):
+                mu = lams[(k + i + j) % len(lams)]
+                a, b = ExtWeylElt(d, w.fin, lam), ExtWeylElt(d, y.fin, mu)
+                prod = a * b
+                assert prod.fin == mat_mul(w.fin, y.fin)
+                assert prod.trans == tuple(
+                    p + q for p, q in zip(mat_vec(inverses[y.fin], lam), mu))
+                assert prod == ExtWeylElt(d, prod.fin, prod.trans)
+    for a in pool[:12]:
+        for b in pool[-12:]:
+            assert a * b == ExtWeylElt(
+                d, mat_mul(a.fin, b.fin),
+                [p + q for p, q in zip(mat_vec(inverses[b.fin], a.trans),
+                                       b.trans)])
+
+
+def test_product_memo_stays_within_finite_group(monkeypatch):
+    from affkl import hecke
+    from affkl.soergel import PCanTable
+    from affkl.tilt import mult_table
+
+    memo = {}
+    monkeypatch.setattr(weyl, "_MUL_CACHE", memo)
+    monkeypatch.setattr(hecke, "_KL_CACHE", {})
+    total = 0
+    for name, L, K in (("A2-sc", (0,), (1, 2)), ("B2-sc", (0,), (1,)),
+                       ("G2-sc", (0,), (1,))):
+        d = build_root_datum(name)
+        refls = simple_reflections(d, conj_search=False)
+        before = set(memo)
+        mult_table([refls[i] for i in L], [refls[i] for i in K], 5,
+                   PCanTable(d, 0, source="kl"))
+        fins = {x.fin for x in _finite_group(d)}
+        new = set(memo) - before
+        assert new and all(a in fins and b in fins for a, b in new), name
+        assert len(new) <= len(fins) ** 2
+        total += len(fins) ** 2
+    assert len(memo) <= total
+
+
+def test_word_memo_keys():
+    # -1 is the longest element of W_f over A1xA1-sc, B2-sc and G2-sc, with
+    # three different reduced words
+    neg = ((-1, 0), (0, -1))
+    for name, word in (("A1xA1-sc", (0, 1)), ("B2-sc", (0, 1, 0, 1)),
+                       ("G2-sc", (0, 1, 0, 1, 0, 1))):
+        d = build_root_datum(name)
+        x = ExtWeylElt(d, neg, (0, 0))
+        assert x.fin_word() == word, name
+        assert x.canonical_str() == ".".join(map(str, word)) + ";0,0"
+        assert element_from_str(d, x.canonical_str()) == x
+        assert x.length == len(word)
+
+
+def test_root_sign_memo_keys(a2):
+    # A2-sc with the opposite positive system: same matrices, same
+    # fingerprint-free (fin, trans) pairs, different lengths
+    op = build_root_datum({"simple_roots": [(-2, 1), (1, -2)],
+                           "simple_coroots": [(-1, 0), (0, -1)]})
+    for x in enumerate_elements(a2, 3):
+        for d in (a2, op):
+            y = ExtWeylElt(d, x.fin, x.trans)
+            expect = 0
+            for alpha, cov in d.positive_roots:
+                n = sum(a * b for a, b in zip(y.trans, cov))
+                img = tuple(mat_vec(y.fin, alpha))
+                expect += abs(n) if d.is_positive_root(img) else abs(n + 1)
+            assert y.length == expect, (d.name, x)
+            for s in simple_reflections(d, conj_search=False):
+                assert is_right_descent(y, s) == (
+                    (y * s.as_element).length < expect)
