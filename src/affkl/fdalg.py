@@ -12,11 +12,9 @@ through the generic field elimination of `linalg`.
 """
 
 import random
-from fractions import Fraction
 
 from . import upoly
 from .errors import SolverError, SplitOverExtensionNeeded
-from .fields import Rationals
 from .linalg import SpanSolver, kernel_field, rref_field
 
 
@@ -380,7 +378,7 @@ def _eval_poly_at(quo, poly, z, f):
 def _coprime_components(fld, mu):
     """Split mu into pairwise coprime factors (primary components, refined)."""
     if fld.char == 0:
-        return _factor_q(mu)
+        return _factor_q(fld, mu)
     comps = []
     for g, m in upoly.squarefree_decomposition(fld, mu):
         # separate distinct irreducible factors of the squarefree g
@@ -411,7 +409,7 @@ def _coprime_components(fld, mu):
     return comps
 
 
-def _factor_q(mu):
+def _factor_q(fld, mu):
     """Coprime factorization over Q via sympy (irreducible powers)."""
     import sympy
 
@@ -421,10 +419,10 @@ def _factor_q(mu):
     _, factors = sympy.Poly(dense, sympy.Symbol("x")).factor_list()
     out = []
     for fac, mult in factors:
-        coeffs = [Fraction(str(c)) for c in reversed(fac.all_coeffs())]
-        comp = [Fraction(1)]
+        coeffs = [fld.parse(str(c)) for c in reversed(fac.all_coeffs())]
+        comp = [fld.one]
         for _ in range(mult):
-            comp = upoly.mul(Rationals(), comp, coeffs)
+            comp = upoly.mul(fld, comp, coeffs)
         out.append(comp)
     return out
 

@@ -2,37 +2,43 @@
 
 The p-canonical basis depends only on the characteristic p, so these two
 are all the coefficients affkl needs.  Field elements are plain hashable
-Python values (Fraction over Q, int in [0, p) over GF(p)), with arithmetic
-routed through the field object.  This keeps polynomial dictionaries light
-and lets the mod-p linear algebra hand coefficients to numpy directly.
+Python values (int in [0, p) over GF(p); over Q an int, or a Fraction only
+when not integral), with arithmetic routed through the field object.  This
+keeps polynomial dictionaries light and lets the mod-p linear algebra hand
+coefficients to numpy directly.
 """
 
 from fractions import Fraction
 
 
+def _canonical(q):
+    """The rational q (an int or a Fraction) as an int when it is integral."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class Rationals:
     char = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return _canonical(Fraction(1, a))
 
     def is_zero(self, a):
         return a == 0
@@ -41,13 +47,12 @@ class Rationals:
         return str(a)
 
     def parse(self, s):
-        return Fraction(s)
+        return _canonical(Fraction(s))
 
     def describe(self):
         return "QQ"
 
-    def __repr__(self):
-        return "QQ"
+    __repr__ = describe
 
 
 class PrimeField:
@@ -86,8 +91,7 @@ class PrimeField:
     def describe(self):
         return f"GF({self.char})"
 
-    def __repr__(self):
-        return f"GF({self.char})"
+    __repr__ = describe
 
 
 def field_for(char):

@@ -211,15 +211,19 @@ def canonical_basis(w):
     s = refls[word[0]]
     uprime = s.as_element * u
     b_uprime = canonical_basis(uprime)
-    prod = _bs_times(s, b_uprime)
-    # subtract mu-corrections: mu(z, u') b_z for z with sz < z
-    out = prod
-    for z in prod.terms:
+    out = _bs_times(s, b_uprime)
+    # subtract mu(z, u') b_z for z with sz < z in place, dropping zero terms
+    for z in list(out.terms):
         if z == u:
             continue
         mu = b_uprime.coeff(z).coeff(1)
         if mu and is_right_descent(z.inverse(), s):
-            out = out - canonical_basis(z).scale(mu)
+            for y, p in canonical_basis(z).terms.items():
+                q = out.terms.get(y, LaurentPoly()) - p * mu
+                if q:
+                    out.terms[y] = q
+                else:
+                    out.terms.pop(y, None)
     _KL_CACHE[key] = out
     return out
 

@@ -3,10 +3,10 @@
 The solvers call one sparse API: `kernel`, `rank` and `solve` take a system
 as COO triplets `(rows, cols, vals, ncols, field)`, where entry (rows[k],
 cols[k]) is the sum of every vals[k] there, and return field elements (ints
-over GF(p), Fractions over Q).  Values are ints over GF(p) and ints or
-Fractions over Q; the `homs` assembly hands over integers, its equations
-cleared of denominators.  `kernel` sums the triplets into a dense matrix
-and is the only place that picks a backend per field:
+over GF(p); over Q ints, or Fractions where not integral).  Values are ints
+over GF(p) and ints or Fractions over Q; the `homs` assembly hands over
+integers, its equations cleared of denominators.  `kernel` sums the triplets
+into a dense matrix and is the only place that picks a backend per field:
   * GF(p): numpy `kernel_mod_p` on an int64 matrix mod p; at p = 2 rows are
     packed into bits and eliminated by XOR, odd p runs a row loop on int64
     arrays;
@@ -14,7 +14,7 @@ and is the only place that picks a backend per field:
     a row holding Fractions is first scaled to ints): residue matrices come
     from one sparse copy of the rows, and each reconstructed kernel vector is
     cleared to ints and checked exactly, in int arithmetic on the sparse
-    rows, before it is returned as Fractions.
+    rows, before it is returned (entries stay ints).
 `rank` and `solve` are read off `kernel`: the rank is ncols minus the kernel
 dimension.  `solve` takes several right-hand sides at once, as the columns
 after the first ncols, and reads each solution of A x = b_k off the kernel
@@ -259,7 +259,7 @@ def kernel_rational(rows):
     reconstructed, cleared to integers, and every candidate is checked
     exactly against every row in int arithmetic before it is returned.  Falls
     back to Fraction elimination when reconstruction keeps failing.  Vectors
-    come back as Fractions (with denominator 1).
+    come back with int entries, the canonical form of an integral rational.
     """
     if not rows:
         return []
@@ -297,16 +297,11 @@ def kernel_rational(rows):
             continue
         basis = _reconstruct_kernel(used, ncols, pivots, free_cols)
         if basis is not None and _verify_kernel(sparse, basis):
-            return _as_fractions(basis)
+            return basis
         if modulus > 2 ** 200:
             break
     # fallback: exact Fraction elimination
-    return _as_fractions(_kernel_fraction([list(map(int, row)) for row in rows]))
-
-
-def _as_fractions(basis):
-    zero = Fraction(0)
-    return [[Fraction(x) if x else zero for x in v] for v in basis]
+    return _kernel_fraction([list(map(int, row)) for row in rows])
 
 
 def _reconstruct_kernel(used, ncols, pivots, free_cols):
@@ -351,9 +346,8 @@ def _verify_kernel(sparse, basis):
 
 def _kernel_fraction(a_int):
     """Kernel of an integer matrix by Fraction elimination, as int vectors."""
-    rows = [[Fraction(x) for x in row] for row in a_int]
     return [_clear_denominators(v)
-            for v in kernel_field(rows, len(a_int[0]), Rationals())]
+            for v in kernel_field(a_int, len(a_int[0]), Rationals())]
 
 
 # -- elimination over a field object ------------------------------------------

@@ -77,9 +77,6 @@ class PolyRing:
     def is_zero(self, f):
         return not f
 
-    def equal(self, f, g):
-        return f == g
-
     def degree(self, f):
         """Grading degree (2 * exponent sum); None for 0, requires homogeneity."""
         if not f:

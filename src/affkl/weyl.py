@@ -24,20 +24,20 @@ from .rootdata import pairing, simple_root_coeffs
 class ExtWeylElt:
     """Immutable element of W = W_f x| X over a fixed root datum."""
 
-    __slots__ = ("datum", "fin", "trans", "_hash", "_len", "_word")
+    __slots__ = ("datum", "fin", "trans", "_hash", "_len", "_word", "_str")
 
     def __init__(self, datum, fin, trans):
         self.datum = datum
         self.fin = fin
         self.trans = tuple(trans)
         self._hash = hash((datum.fingerprint, fin, self.trans))
-        self._len = None
-        self._word = None
+        self._len = self._word = self._str = None
 
     def __eq__(self, other):
         return (
             isinstance(other, ExtWeylElt)
-            and self.datum.fingerprint == other.datum.fingerprint
+            and (self.datum is other.datum
+                 or self.datum.fingerprint == other.datum.fingerprint)
             and self.fin == other.fin
             and self.trans == other.trans
         )
@@ -46,7 +46,8 @@ class ExtWeylElt:
         return self._hash
 
     def __mul__(self, other):
-        if self.datum.fingerprint != other.datum.fingerprint:
+        if (self.datum is not other.datum
+                and self.datum.fingerprint != other.datum.fingerprint):
             raise DatumMismatch("elements live over different data")
         key = (self.fin, other.fin)
         hit = _MUL_CACHE.get(key)
@@ -84,8 +85,10 @@ class ExtWeylElt:
         return self._word
 
     def canonical_str(self):
-        word = ".".join(str(i) for i in self.fin_word()) or "e"
-        return word + ";" + ",".join(str(x) for x in self.trans)
+        if self._str is None:
+            word = ".".join(str(i) for i in self.fin_word()) or "e"
+            self._str = word + ";" + ",".join(str(x) for x in self.trans)
+        return self._str
 
     def to_json(self):
         return {"fin_word": list(self.fin_word()), "trans": list(self.trans)}

@@ -16,6 +16,37 @@ def test_prime_field():
     assert f.parse(f.to_str(4)) == 4
 
 
+def test_rationals_canonical_form():
+    """An integral rational is an int, only a non-integral one a Fraction."""
+    q = Rationals()
+    assert type(q.zero) is int and type(q.one) is int
+    assert type(q.from_int(5)) is int
+    inv = q.inv(-1)
+    assert type(inv) is int and inv == -1
+    assert q.inv(3) == Fraction(1, 3) and type(q.inv(3)) is Fraction
+    assert type(q.inv(Fraction(1, 4))) is int and q.inv(Fraction(1, 4)) == 4
+    one = q.mul(Fraction(1, 2), 2)
+    assert type(one) is int and one == 1
+    assert type(q.add(Fraction(1, 3), Fraction(2, 3))) is int
+    assert type(q.sub(Fraction(1, 3), Fraction(1, 3))) is int
+    assert type(q.parse("4")) is int and q.parse("4") == 4
+    assert q.parse("-2/6") == Fraction(-1, 3)
+    # no operation on canonical values returns a float
+    vals = [0, 1, -1, 3, Fraction(1, 3), Fraction(-5, 2)]
+    for a in vals:
+        for b in vals:
+            for op in (q.add, q.sub, q.mul):
+                c = op(a, b)
+                assert type(c) is int or (type(c) is Fraction
+                                          and c.denominator != 1), (op, a, b)
+        if a:
+            assert type(q.inv(a)) in (int, Fraction)
+            assert q.mul(a, q.inv(a)) == 1
+        assert type(q.neg(a)) is type(a)
+    with pytest.raises(TypeError):
+        q.inv(0.5)
+
+
 def test_poly_ring_basic():
     ring = PolyRing(Rationals(), 2)
     x = ring.gen(0)

@@ -1,7 +1,11 @@
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from affkl import build_root_datum, soergel
+from affkl import build_root_datum, homs, soergel
 from affkl.bimodule import b_object, character, tensor
+from affkl.cache import load_table
 from affkl.errors import SolverError
 from affkl.hecke import bar, canonical_basis, mult, unit
 from affkl.laurent import LaurentPoly, ONE
@@ -17,6 +21,8 @@ from affkl.weyl import (
     translation,
     wid,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +224,57 @@ def test_character_shortcut_matches_full_split(name, p, length):
             assert full.act == rep.act, u
             assert full.labels == rep.labels, u
     assert fired == table.stats["splits_skipped"] > 0
+
+
+def _rational_leaves(obj):
+    """Every coefficient in nested lists, tuples and polynomial dicts."""
+    if isinstance(obj, dict):
+        for c in obj.values():
+            yield from _rational_leaves(c)
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _rational_leaves(x)
+    else:
+        yield obj
+
+
+def _assert_canonical_rationals(obj, what):
+    for c in _rational_leaves(obj):
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), \
+            (what, c, type(c))
+
+
+def _assert_canonical_reps(table):
+    for w, rep in table.reps.items():
+        _assert_canonical_rationals(rep.act, ("act", w))
+        _assert_canonical_rationals([v for _, v in rep.labels], ("labels", w))
+
+
+def test_q_route_keeps_integral_rationals_as_ints(monkeypatch):
+    """Over Q an integral coefficient is an int and only a non-integral one
+    a Fraction, from every solve through to the stored representatives and a
+    loaded cache."""
+    results = []
+
+    def recording(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            results.append((fn.__name__, out))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(homs, "kernel", recording(homs.kernel))
+    monkeypatch.setattr(soergel, "solve_in_basis",
+                        recording(soergel.solve_in_basis))
+    datum = build_root_datum("A2-sc")
+    table = PCanTable(datum, 0)
+    for u in sorted(enumerate_elements(datum, 3),
+                    key=lambda w: (w.length, w.canonical_str())):
+        table.ensure(u)
+    assert {name for name, _ in results} == {"kernel", "solve_in_basis"}
+    for name, out in results:
+        _assert_canonical_rationals(out or [], name)
+    _assert_canonical_reps(table)
+    loaded = load_table(DATA / "cache_A2-sc_p0_len2.json")
+    assert loaded.reps
+    _assert_canonical_reps(loaded)

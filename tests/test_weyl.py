@@ -1,7 +1,13 @@
 import pytest
 
 from affkl import build_root_datum, weyl
-from affkl.errors import NotFinitary, NotInWaff, NotLengthZero, OmegaUnbounded
+from affkl.errors import (
+    DatumMismatch,
+    NotFinitary,
+    NotInWaff,
+    NotLengthZero,
+    OmegaUnbounded,
+)
 from affkl.matutil import mat_inv_int, mat_mul, mat_vec
 from affkl.serialize import element_from_str
 from affkl.weyl import (
@@ -436,3 +442,22 @@ def test_root_sign_memo_keys(a2):
             for s in simple_reflections(d, conj_search=False):
                 assert is_right_descent(y, s) == (
                     (y * s.as_element).length < expect)
+
+
+def test_elements_over_equal_data_built_twice():
+    # two separately built copies of one datum: equal fingerprints, distinct
+    # objects; elements over them are equal, hash alike and multiply
+    d1, d2 = build_root_datum("GL2"), build_root_datum("GL2")
+    assert d1 is not d2 and d1.fingerprint == d2.fingerprint
+    for x in enumerate_elements(d1, 3):
+        y = ExtWeylElt(d2, x.fin, x.trans)
+        assert x == y and y == x and hash(x) == hash(y)
+        assert x * x == y * y == x * y == y * x
+    other = build_root_datum("A2-sc")
+    s = simple_reflections(other, conj_search=False)[0].as_element
+    t = ExtWeylElt(d1, s.fin, s.trans)
+    assert s != t
+    with pytest.raises(DatumMismatch):
+        s * t
+    with pytest.raises(DatumMismatch):
+        t * s
