@@ -7,6 +7,14 @@ the matching component of N.  All three condition families are linear in the
 entry coefficients, so a basis comes out of one exact kernel computation
 over the base field.
 
+Label equations c . P x = 0 (x in M_w, c a null vector of N_w) are built
+only when N has a label w' != w acting on t by w's matrix over the base
+field (`Realization.fin_action_matrix`).  The rest follow from P A_g = B_g P
+and the invariants of `LabeledBimodule`: label vectors satisfy A_g x =
+w(x_g) x and those of N span N, so over Frac(R) N is the direct sum of the
+joint eigenspaces of its label classes, and P x lies in that of w's class:
+N_w if w is alone in it, 0 if it is empty.  So the kernel stays the same.
+
 Each system is built in integer arrays and handed to `linalg` as COO
 triplets.  A monomial is a mixed-radix code (exponent i is digit i), so
 multiplying monomials adds codes; polynomial entries become term arrays once
@@ -16,6 +24,7 @@ of denominators (per generator for P A_g = B_g P, lcm(x) * lcm(c) for a
 label vector x and null vector c), which leaves the row space unchanged.
 """
 
+import collections
 import itertools
 import math
 
@@ -160,6 +169,16 @@ def hom_space(m, n, degree):
                             ring.field)]
 
 
+def _shared_labels(m, n):
+    """Indices of the labels w of M for which N has a label w' != w acting
+    on t by the same matrix as w: only these need label equations."""
+    key = m.real.fin_action_matrix
+    count = collections.Counter(key(w) for w, _ in n.labels)
+    own = n.label_map()
+    return [lw for lw, (w, _) in enumerate(m.labels)
+            if count[key(w)] > (w in own)]
+
+
 def _hom_equations(m, n, slots):
     """COO triplets of the conditions on a morphism M -> N in `slots`."""
     ring = m.real.ring
@@ -168,10 +187,11 @@ def _hom_equations(m, n, slots):
         (((t, g, r, c), e) for t, mod in enumerate((m, n))
          for g, mat in enumerate(mod.act) for r, row in enumerate(mat)
          for c, e in enumerate(row) if e), 4, ring, group=1)
-    # the label vectors x of M and null vectors c of the same label in N
-    xs = [(lw, x) for lw, (_, vecs) in enumerate(m.labels) for x in vecs]
-    cs = [(lw, c) for lw, (w, _) in enumerate(m.labels)
-          for c in n.label_nullspace(w)]
+    # the label vectors x of M and null vectors c of the same label in N,
+    # for the labels whose equations P A_g = B_g P leave open
+    shared = _shared_labels(m, n)
+    xs = [(lw, x) for lw in shared for x in m.labels[lw][1]]
+    cs = [(lw, c) for lw in shared for c in n.label_nullspace(m.labels[lw][0])]
     x_idx, x_exps, x_vals = _terms(
         (((v, j), e) for v, (_, x) in enumerate(xs) for j, e in enumerate(x)
          if e), 2, ring, group=0)

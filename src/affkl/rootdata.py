@@ -5,6 +5,7 @@ non-semisimple lattices such as GL_n are first-class.  Positive roots are the
 ones whose coordinates in the simple basis are all nonnegative.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -90,14 +91,12 @@ class RootDatum:
             self._derived["coroot_map"] = {r: cv for r, cv in zip(self.roots, self.coroots)}
         return self._derived["coroot_map"][root]
 
-    @property
+    @functools.cached_property
     def fingerprint(self):
-        if "fp" not in self._derived:
-            pairs = sorted(zip(self.roots, self.coroots))
-            simples = sorted(self.simple_roots)
-            blob = json.dumps([self.rank, pairs, simples], separators=(",", ":"))
-            self._derived["fp"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
-        return self._derived["fp"]
+        pairs = sorted(zip(self.roots, self.coroots))
+        simples = sorted(self.simple_roots)
+        blob = json.dumps([self.rank, pairs, simples], separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def to_json(self):
         return {

@@ -268,11 +268,28 @@ def test_failed_write_keeps_old_document(gl2, tmp_path, monkeypatch):
     cachemod.save_table(table, str(path))
     old = path.read_bytes()
 
-    def dump_then_fail(doc, fh, **kwargs):
-        fh.write('{"format": ')
-        raise OSError("disk full")
+    class HalfWritten:
+        """A file opened for writing that stores half of what it is given,
+        then fails."""
 
-    monkeypatch.setattr(cachemod.json, "dump", dump_then_fail)
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+    def open_failing(path, mode="r"):
+        fh = open(path, mode)
+        return HalfWritten(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(cachemod, "open", open_failing, raising=False)
     table.ensure(enumerate_elements(gl2, 3)[-1])
     for write in (lambda: cachemod.save_table(table, str(path)),
                   lambda: cachemod.gc(str(path))):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from affkl import build_root_datum, check_assumptions, components, pairing
@@ -127,6 +130,18 @@ def test_adjoint_a1_cotorsion():
 def test_json_round_trip(a2):
     rebuilt = build_root_datum(a2.to_json())
     assert rebuilt.fingerprint == a2.fingerprint
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(__file__).parent.glob("data/cache_*.json")),
+    ids=lambda p: p.stem)
+def test_fingerprint_matches_stored_caches(path):
+    doc = json.loads(path.read_text())
+    for datum in (build_root_datum(doc["datum"]),
+                  build_root_datum(doc["datum"]["name"])):
+        assert datum.fingerprint == doc["datum_fingerprint"]
+        # computed once, then an attribute of the datum
+        assert vars(datum)["fingerprint"] == doc["datum_fingerprint"]
 
 
 def test_mat_inv_int():
