@@ -23,8 +23,7 @@ class LabeledBimodule:
         self.real = real
         self.degrees = tuple(degrees)
         self.act = act
-        self.labels = tuple(sorted(
-            labels, key=lambda t: (t[0].length, t[0].canonical_str())))
+        self.labels = tuple(sorted(labels, key=lambda t: t[0].sort_key()))
         self.wordlen = wordlen
         self.char_hint = char_hint
         self._label_null = {}
@@ -70,11 +69,8 @@ class LabeledBimodule:
                     ident.append(row)
                 self._label_null[w] = ident
             else:
-                rows = [[v[i] for v in vecs] for i in range(self.rank)]
-                cols = len(vecs)
-                transposed = [[rows[i][j] for i in range(self.rank)]
-                              for j in range(cols)]
-                self._label_null[w] = poly_kernel(transposed, self.rank, ring)
+                self._label_null[w] = poly_kernel(
+                    [list(v) for v in vecs], self.rank, ring)
         return self._label_null[w]
 
     def validate(self):

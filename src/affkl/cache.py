@@ -11,9 +11,9 @@ from .serialize import (
     bimodule_to_json,
     element_from_str,
     hecke_from_json,
-    hecke_to_json,
 )
 from .soergel import PCanTable, is_shifted_iso
+from .weyl import ExtWeylElt
 
 FORMAT_VERSION = 1
 
@@ -35,14 +35,14 @@ def save_table(table, path):
         "reps": {},
     }
     rhash = table.realization_hash()
-    for w in sorted(table.entries, key=lambda w: (w.length, w.canonical_str())):
+    for w in sorted(table.entries, key=ExtWeylElt.sort_key):
         doc["entries"][w.canonical_str()] = {
             "rhash": rhash,
-            "coeffs": hecke_to_json(table.entries[w]),
+            "coeffs": table.entries[w].to_json(),
         }
     if table.source == "soergel":
         ring = table.real.ring
-        for w in sorted(table.reps, key=lambda w: (w.length, w.canonical_str())):
+        for w in sorted(table.reps, key=ExtWeylElt.sort_key):
             doc["reps"][w.canonical_str()] = bimodule_to_json(table.reps[w], ring)
     _write_doc(path, doc)
 
@@ -94,7 +94,7 @@ def load_table(path, datum=None):
     # ensure() reads the representative of every entry below its target
     missing = set(table.entries) - set(table.reps) if table.real else set()
     if missing:
-        w = min(missing, key=lambda w: (w.length, w.canonical_str()))
+        w = min(missing, key=ExtWeylElt.sort_key)
         raise CacheCorrupt(
             f"{path}: entry {w.canonical_str()} has no stored representative")
     return table
@@ -135,11 +135,10 @@ def verify(path, sample=None):
     """
     stored = load_table(path)
     fresh = PCanTable(stored.datum, stored.char, source=stored.source)
-    keys = sorted(stored.entries, key=lambda w: (w.length, w.canonical_str()))
+    keys = sorted(stored.entries, key=ExtWeylElt.sort_key)
     if sample is not None and sample < len(keys):
         rng = random.Random(int(stored.datum.fingerprint[:8], 16))
-        keys = sorted(rng.sample(keys, sample),
-                      key=lambda w: (w.length, w.canonical_str()))
+        keys = sorted(rng.sample(keys, sample), key=ExtWeylElt.sort_key)
     for w in keys:
         expected = fresh.ensure(w)
         if expected != stored.entries[w]:

@@ -15,6 +15,7 @@ import time
 from . import cache as cachemod
 from .errors import (
     AffklError,
+    AssumptionsFailed,
     CacheCorrupt,
     IdentificationFailure,
     MalformedDatum,
@@ -22,12 +23,11 @@ from .errors import (
     SolverError,
     SplitOverExtensionNeeded,
 )
-from .realization import AssumptionsFailed
 from .rootdata import build_root_datum, check_assumptions, load_root_datum
-from .serialize import parse_element_grammar
+from .serialize import parse_element_grammar, parse_reflection
 from .soergel import PCanTable, p_canonical
 from .tilt import mult_table
-from .weyl import omega_elements, simple_reflections
+from .weyl import omega_elements
 
 EXIT_OK = 0
 EXIT_ASSUMPTIONS = 1
@@ -109,19 +109,6 @@ def _table_for(args, datum):
     return table, path
 
 
-def _parse_refl_set(datum, text):
-    refls = simple_reflections(datum, conj_search=False)
-    out = []
-    for tok in text.split():
-        if not tok.startswith("s"):
-            raise MalformedDatum(f"bad reflection token {tok!r}")
-        idx = int(tok[1:])
-        if not 0 <= idx < len(refls):
-            raise MalformedDatum(f"reflection index {idx} out of range")
-        out.append(refls[idx])
-    return out
-
-
 def cmd_check(args):
     datum = _datum_from_args(args)
     _validate_p(args.p)
@@ -175,8 +162,8 @@ def cmd_tilt(args):
     _gate_assumptions(args, datum)
     t0 = time.time()
     table, path = _table_for(args, datum)
-    L = _parse_refl_set(datum, args.L)
-    K = _parse_refl_set(datum, args.K)
+    L = [parse_reflection(datum, tok) for tok in args.L.split()]
+    K = [parse_reflection(datum, tok) for tok in args.K.split()]
     omegas = None
     sector = "waff_only"
     if args.omega_bound > 0:

@@ -5,6 +5,10 @@ class AffklError(Exception):
     """Base class for all package errors."""
 
 
+class AssumptionsFailed(AffklError):
+    """Standing assumptions on p fail for the datum (no override given)."""
+
+
 class MalformedDatum(AffklError):
     """Root/coroot tables violate the Cartan or closure conditions."""
 

@@ -263,7 +263,20 @@ def _combine(fld, coeffs, vecs, dim):
 
 
 def _central_primitives(quo):
-    """Primitive idempotents of the center of a semisimple algebra."""
+    """Primitive idempotents of the center Z of a semisimple algebra.
+
+    Over GF(p) the idempotents of Z span its Frobenius-fixed part, and
+    refining 1 by each basis element of that part separates them.  Over Q,
+    refining 1 by each basis element z of Z, with full factorisation, is
+    enough.  In each resulting piece f, every f z has an irreducible minimal
+    polynomial g_z (refining f further only passes to divisors), and the f z
+    span fZ.  If f were e + e' with e, e' orthogonal central idempotents,
+    phi(x) = tr(ex)/dim eZ - tr(e'x)/dim e'Z (traces of multiplication on
+    eZ and e'Z over Q) would be linear on fZ and vanish on each f z, as
+    both of its terms are the mean of the roots of g_z; so phi = 0 on fZ,
+    yet phi(e) = 1.  Hence f is primitive, and no further (random) element
+    of Z can split it.
+    """
     fld = quo.field
     n = quo.dim
     # center: [x, b_i] = 0 for all i, linear in the coordinates of x
@@ -287,12 +300,6 @@ def _central_primitives(quo):
     idems = [list(quo.unit)]
     for z in fixed:
         idems = _refine_by_element(quo, idems, z)
-    if fld.char == 0:
-        rng = random.Random(20240 + quo.dim)
-        for _ in range(6):
-            z = _combine(fld, [fld.from_int(rng.randrange(-9, 10))
-                               for _ in center], center, n)
-            idems = _refine_by_element(quo, idems, z)
     return idems
 
 

@@ -8,6 +8,7 @@ H_omega * H_x = H_{omega x}.
 from .errors import DatumMismatch
 from .laurent import LaurentPoly, ONE, V
 from .weyl import (
+    ExtWeylElt,
     bruhat_leq,
     is_right_descent,
     omega_factorize,
@@ -76,9 +77,8 @@ class HeckeElt:
         return mult(self, other)
 
     def to_json(self):
-        return {w.canonical_str(): p.to_json()
-                for w, p in sorted(self.terms.items(),
-                                   key=lambda t: (t[0].length, t[0].canonical_str()))}
+        return {w.canonical_str(): self.terms[w].to_json()
+                for w in sorted(self.terms, key=ExtWeylElt.sort_key)}
 
     def __repr__(self):
         if not self.terms:
@@ -193,18 +193,17 @@ _KL_CACHE = {}
 
 def canonical_basis(w):
     """b_w = sum_y h_{y,w} H_y, bar-invariant with h in vZ[v] below w."""
+    if w in _KL_CACHE:
+        return _KL_CACHE[w]
     datum = w.datum
-    key = (datum.fingerprint, w)
-    if key in _KL_CACHE:
-        return _KL_CACHE[key]
     om, u = omega_factorize(w)
     if not om.is_identity():
         out = omega_times(om, canonical_basis(u))
-        _KL_CACHE[key] = out
+        _KL_CACHE[w] = out
         return out
     if u.length == 0:
         out = unit(datum)
-        _KL_CACHE[key] = out
+        _KL_CACHE[w] = out
         return out
     refls = simple_reflections(datum, conj_search=False)
     word = reduced_word(u)
@@ -224,7 +223,7 @@ def canonical_basis(w):
                     out.terms[y] = q
                 else:
                     out.terms.pop(y, None)
-    _KL_CACHE[key] = out
+    _KL_CACHE[w] = out
     return out
 
 
@@ -252,7 +251,7 @@ def signed_coset_sum(table, y, K):
     K is a finitary set of simple reflections; a pre-enumerated list of
     group elements is also accepted.
     """
-    from .weyl import ExtWeylElt, finitary_data_over
+    from .weyl import finitary_data_over
 
     K = list(K)
     if all(isinstance(x, ExtWeylElt) for x in K) and K:

@@ -228,13 +228,14 @@ def _hom_equations(m, n, slots):
          x_vals[tx[tl]] * c_vals[tc[tl]]))
 
 
-def graded_hom_dims(m, n, extra=2):
+def graded_hom_dims(m, n):
     """Laurent polynomial sum_d dim (k tensor_R Hom)^d v^d.
 
     The full morphism space in each degree is reduced modulo left
     multiplication by the positive-degree part of R (generated in degree 2).
+    Degrees run over |d| <= m.wordlen + n.wordlen + 2.
     """
-    window = m.wordlen + n.wordlen + extra
+    window = m.wordlen + n.wordlen + 2
     bases = {}
     for d in range(-window, window + 1):
         bases[d] = hom_space(m, n, d)

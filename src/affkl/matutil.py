@@ -1,4 +1,4 @@
-"""Small exact integer matrix helpers (tuples of tuples, row-major)."""
+"""Small exact integer and rational matrix helpers (row-major)."""
 
 from fractions import Fraction
 
@@ -19,28 +19,39 @@ def mat_vec(a, v):
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
+def gauss_jordan(m, ncols):
+    """Reduce the rows of m (lists of Fractions) in place to reduced row
+    echelon form in their first ncols columns; the columns after those are
+    carried along.  Returns the pivot columns: row i has its pivot at the
+    i-th, and the rows after the last pivot vanish in the first ncols."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
 def mat_inv_int(a):
     """Inverse of an integer matrix with determinant +-1 (exact, via Fractions);
     ValueError for any other matrix."""
     n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    inv = tuple(tuple(int(m[i][n + j]) for j in range(n)) for i in range(n))
-    for i in range(n):
-        for j in range(n):
-            if m[i][n + j] != inv[i][j]:
-                raise ValueError("matrix is not invertible over the integers")
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    if len(gauss_jordan(m, n)) < n:
+        raise ValueError("matrix is singular")
+    inv = tuple(tuple(int(x) for x in row[n:]) for row in m)
+    if any(x != y for row, irow in zip(m, inv) for x, y in zip(row[n:], irow)):
+        raise ValueError("matrix is not invertible over the integers")
     return inv
 
 
@@ -111,22 +122,8 @@ def gcd_minors_invariant_factors(a):
     factors = []
     prev = 1
 
-    def minor(rs, cs):
-        sub = [[a[i][j] for j in cs] for i in rs]
-        n = len(sub)
-        if n == 0:
-            return 1
+    def det(sub):
         # Laplace expansion; k <= 4 in all uses
-        if n == 1:
-            return sub[0][0]
-        total = 0
-        for j in range(n):
-            sign = -1 if j % 2 else 1
-            rest = [row[:j] + row[j + 1:] for row in sub[1:]]
-            total += sign * sub[0][j] * _det(rest)
-        return total
-
-    def _det(sub):
         n = len(sub)
         if n == 1:
             return sub[0][0]
@@ -134,14 +131,14 @@ def gcd_minors_invariant_factors(a):
         for j in range(n):
             sign = -1 if j % 2 else 1
             rest = [row[:j] + row[j + 1:] for row in sub[1:]]
-            total += sign * sub[0][j] * _det(rest)
+            total += sign * sub[0][j] * det(rest)
         return total
 
     for k in range(1, min(rows, cols) + 1):
         g = 0
         for rs in combinations(range(rows), k):
             for cs in combinations(range(cols), k):
-                g = gcd(g, minor(rs, cs))
+                g = gcd(g, det([[a[i][j] for j in cs] for i in rs]))
         if g == 0:
             break
         factors.append(g // prev)

@@ -13,15 +13,10 @@ functional survives reduction mod p, which is the lattice-torsion condition.
 import hashlib
 import json
 
-from .errors import NoDelta, AffklError
+from .errors import NoDelta
 from .fields import field_for
 from .polys import PolyRing
-from .rootdata import check_assumptions
 from .weyl import simple_reflections
-
-
-class AssumptionsFailed(AffklError):
-    """Standing assumptions on p fail for the datum (no override given)."""
 
 
 class Realization:
@@ -78,19 +73,13 @@ class Realization:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def build_realization(datum, char, check=False, override=False):
+def build_realization(datum, char):
     """Deterministic realization over GF(char), or over Q when char=0.
 
-    delta_s is the least standard-basis solution of <x, cov_s> = 1.  With
-    check=True the standing assumptions are enforced for char > 0 unless
-    override is set.
+    delta_s is the least standard-basis solution of <x, cov_s> = 1.  The
+    standing assumptions on char are not checked here: the command line
+    gates them (`cli._gate_assumptions`).
     """
-    if check and char > 0 and not override:
-        report = check_assumptions(datum, char)
-        if not report.all_ok:
-            raise AssumptionsFailed(
-                f"assumptions fail for {datum.name or datum.fingerprint} "
-                f"at p={char}:\n{report.render()}")
     field = field_for(char)
     refls = simple_reflections(datum, conj_search=False)
     alpha_vec, cov_vec, delta_vec = [], [], []

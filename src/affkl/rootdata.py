@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionMismatch, MalformedDatum, UnclassifiableComponent
-from .matutil import smith_normal_form
+from .matutil import gauss_jordan, smith_normal_form
 
 # Lower bounds on p, keyed by Dynkin type letter.  A component of type X_n
 # passes for a prime p iff p is strictly larger than the bound.
@@ -136,33 +136,12 @@ def simple_root_coeffs(d, vec):
     n = len(d.simple_roots)
     m = [[Fraction(a[i]) for a in d.simple_roots] + [Fraction(vec[i])]
          for i in range(d.rank)]
-    return _solve_exact(m, n)
-
-
-def _solve_exact(m, nvars):
-    """Solve the augmented rational system; None if inconsistent."""
-    rows = len(m)
-    piv_of_col = {}
-    r = 0
-    for c in range(nvars):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_of_col[c] = r
-        r += 1
-    for i in range(r, rows):
-        if m[i][nvars] != 0:
-            return None
-    sol = [Fraction(0)] * nvars
-    for c, pr in piv_of_col.items():
-        sol[c] = m[pr][nvars]
+    pivots = gauss_jordan(m, n)
+    if any(row[n] != 0 for row in m[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * n
+    for row, c in zip(m, pivots):
+        sol[c] = row[n]
     return sol
 
 

@@ -3,29 +3,24 @@
 from .errors import MalformedDatum
 from .hecke import HeckeElt
 from .laurent import LaurentPoly
-from .weyl import element_from_word, simple_reflections, translation, wid
+from .weyl import element_from_word, simple_reflections, translation
 
 
 def element_from_str(datum, s):
-    """Inverse of ExtWeylElt.canonical_str."""
+    """Inverse of ExtWeylElt.canonical_str: the least word of the finite
+    part, in simple-root indices ("e" when empty), then the translation."""
     try:
         word_part, trans_part = s.split(";")
-        x = wid(datum)
-        if word_part != "e":
-            refls = simple_reflections(datum, conj_search=False)
-            for tok in word_part.split("."):
-                idx = int(tok)
-                x = x * refls[idx].as_element
+        word = ([] if word_part == "e"
+                else [int(tok) for tok in word_part.split(".")])
         lam = tuple(int(t) for t in trans_part.split(","))
-        return x * translation(datum, lam)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise MalformedDatum(f"bad element string {s!r}: {exc}") from exc
-
-
-def hecke_to_json(h):
-    return {w.canonical_str(): p.to_json()
-            for w, p in sorted(h.terms.items(),
-                               key=lambda t: (t[0].length, t[0].canonical_str()))}
+    if len(lam) != datum.rank or not all(0 <= i < datum.nsimple for i in word):
+        raise MalformedDatum(
+            f"bad element string {s!r}: expected simple-root indices below "
+            f"{datum.nsimple} and {datum.rank} coordinates")
+    return element_from_word(datum, word) * translation(datum, lam)
 
 
 def hecke_from_json(datum, obj):
@@ -44,7 +39,7 @@ def bimodule_to_json(m, ring):
             [w.canonical_str(), [[ring.to_str(e) for e in vec] for vec in vecs]]
             for w, vecs in m.labels
         ],
-        "char": hecke_to_json(m.char_hint) if m.char_hint is not None else None,
+        "char": m.char_hint.to_json() if m.char_hint is not None else None,
     }
 
 
@@ -67,6 +62,17 @@ def bimodule_from_json(real, obj):
                            wordlen=obj["wordlen"], char_hint=hint)
 
 
+def parse_reflection(datum, tok):
+    """The simple reflection named by a token s<i>."""
+    if not tok.startswith("s"):
+        raise MalformedDatum(f"bad reflection token {tok!r}")
+    idx = int(tok[1:])
+    refls = simple_reflections(datum, conj_search=False)
+    if not 0 <= idx < len(refls):
+        raise MalformedDatum(f"reflection index {idx} out of range")
+    return refls[idx]
+
+
 def parse_element_grammar(datum, text):
     """Whitespace-separated reflection names, optionally after omega:<form>."""
     toks = text.split()
@@ -76,16 +82,5 @@ def parse_element_grammar(datum, text):
         if omega.length != 0:
             raise MalformedDatum("omega part must have length zero")
         toks = toks[1:]
-    word = []
-    refls = simple_reflections(datum, conj_search=False)
-    for tok in toks:
-        if tok == "e":
-            continue
-        if not tok.startswith("s"):
-            raise MalformedDatum(f"bad reflection token {tok!r}")
-        idx = int(tok[1:])
-        if not 0 <= idx < len(refls):
-            raise MalformedDatum(f"reflection index {idx} out of range")
-        word.append(idx)
+    word = [parse_reflection(datum, tok).index for tok in toks if tok != "e"]
     return element_from_word(datum, word, omega=omega)
-

@@ -71,7 +71,7 @@ def end0_split(m):
 
 
 def _label_key(s):
-    return tuple(sorted((w.length, w.canonical_str()) for w, _ in s.labels))
+    return tuple(sorted(w.sort_key() for w, _ in s.labels))
 
 
 def materialize_summand(m, emat):
@@ -211,7 +211,7 @@ class PCanTable:
     0 only) fills entries from the canonical-basis recursion instead.
     """
 
-    def __init__(self, datum, char, source="soergel", realization=None):
+    def __init__(self, datum, char, source="soergel"):
         if source not in ("soergel", "kl"):
             raise ValueError(source)
         if source == "kl" and char != 0:
@@ -219,9 +219,7 @@ class PCanTable:
         self.datum = datum
         self.char = char
         self.source = source
-        self.real = realization
-        if source == "soergel" and self.real is None:
-            self.real = build_realization(datum, char)
+        self.real = build_realization(datum, char) if source == "soergel" else None
         self.entries = {}
         self.reps = {}
         self.stats = {"computed": 0, "cache_hits": 0, "splits_skipped": 0}

@@ -98,8 +98,7 @@ class MultTable:
         rows = []
         for (w, y), m in sorted(
                 self.entries.items(),
-                key=lambda t: (t[0][0].length, t[0][0].canonical_str(),
-                               t[0][1].length, t[0][1].canonical_str())):
+                key=lambda t: t[0][0].sort_key() + t[0][1].sort_key()):
             rows.append([w.canonical_str(), y.canonical_str(), m])
         return {
             "datum": self.datum_fingerprint,
@@ -159,9 +158,12 @@ def _tex_label(w):
     return "$" + w.canonical_str().replace(";", ";\\,") + "$"
 
 
-def mult_table(L, K, max_len, table, sector="waff_only", omegas=None,
-               check_z_independence=True):
-    """All parahoric multiplicities (w, y) with l(w_L w) <= max_len."""
+def mult_table(L, K, max_len, table, sector="waff_only", omegas=None):
+    """All parahoric multiplicities (w, y) with l(w_L w) <= max_len.
+
+    Every entry is also checked against the left-coset sweep: the signed sum
+    over z y W_K for each z in W_L must give the same multiplicity.
+    """
     from .weyl import min_double_coset_reps
 
     datum = table.datum
@@ -186,7 +188,7 @@ def mult_table(L, K, max_len, table, sector="waff_only", omegas=None,
     # the cosets y W_K and z y W_K (z in W_L) depend on y alone
     cosets = {y: signed_coset(y, wk_elements) for y in reps}
     sweeps = {y: [(z, signed_coset(z * y, wk_elements)) for z in wl_elements]
-              for y in reps} if check_z_independence and L else {}
+              for y in reps} if L else {}
     for w in reps:
         values = _nonzero_rows(wl * w, table)
         for y in reps:

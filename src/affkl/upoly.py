@@ -98,7 +98,8 @@ def pth_root(field, f):
 def squarefree_decomposition(field, f):
     """Pairwise-coprime list [(g, multiplicity)], g squarefree, f = prod g^m.
 
-    Yun's algorithm with the char-p correction for vanishing derivative.
+    Yun's algorithm with the char-p correction for vanishing derivative,
+    which a nonconstant polynomial in characteristic 0 never has.
     """
     if len(f) <= 1:
         return []
@@ -129,22 +130,7 @@ def squarefree_decomposition(field, f):
         if len(a) > 1:
             recurse(a, mult_scale)
 
-    if p == 0:
-        # Yun without the char-p branch
-        d = derivative(field, f)
-        a = gcd(field, f, d)
-        w, _ = divmod_poly(field, f, a)
-        i = 1
-        while len(w) > 1:
-            y = gcd(field, w, a)
-            z, _ = divmod_poly(field, w, y)
-            if len(z) > 1:
-                out.append((z, i))
-            a, _ = divmod_poly(field, a, y)
-            w = y
-            i += 1
-    else:
-        recurse(f, 1)
+    recurse(f, 1)
     return out
 
 

@@ -90,8 +90,10 @@ class ExtWeylElt:
             self._str = word + ";" + ",".join(str(x) for x in self.trans)
         return self._str
 
-    def to_json(self):
-        return {"fin_word": list(self.fin_word()), "trans": list(self.trans)}
+    def sort_key(self):
+        """(length, canonical string): the order of enumerations, table rows
+        and the keys of saved cache documents."""
+        return self.length, self.canonical_str()
 
     def __repr__(self):
         return f"ExtWeylElt({self.canonical_str()})"
@@ -133,14 +135,6 @@ def reflection_matrix(datum, root):
         tuple((1 if i == j else 0) - root[i] * cov[j] for j in range(n))
         for i in range(n)
     )
-
-
-def from_json(datum, obj):
-    x = wid(datum)
-    refls = simple_reflections(datum)
-    for i in obj["fin_word"]:
-        x = x * refls[i].as_element
-    return x * translation(datum, obj["trans"])
 
 
 def _lex_least_word(datum, fin):
@@ -278,7 +272,7 @@ def _with_conj_data(datum, refls, s):
     for om in omegas:
         for u in enumerate_elements(datum, bound, sector="waff_only"):
             candidates.append(om * u)
-    candidates.sort(key=lambda w: (w.length, w.canonical_str()))
+    candidates.sort(key=ExtWeylElt.sort_key)
     target = s.as_element
     for w in candidates:
         winv = w.inverse()
@@ -394,7 +388,7 @@ def omega_elements(datum, bound=1):
                         elts.add(b)
                         nxt.add(b)
             frontier = nxt
-    return sorted(elts, key=lambda e: e.canonical_str())
+    return sorted(elts, key=ExtWeylElt.sort_key)
 
 
 def _quotient_generators(datum):
@@ -496,7 +490,7 @@ def enumerate_elements(datum, max_len, sector="waff_only", omegas=None):
                     nxt.add(y)
         seen |= nxt
         layer = nxt
-    waff = sorted(seen, key=lambda e: (e.length, e.canonical_str()))
+    waff = sorted(seen, key=ExtWeylElt.sort_key)
     if sector == "waff_only":
         return waff
     if omegas is None:
@@ -505,7 +499,7 @@ def enumerate_elements(datum, max_len, sector="waff_only", omegas=None):
                 "infinite Omega: pass omegas= for sector='all'")
         omegas = omega_elements(datum)
     out = [om * u for om in omegas for u in waff]
-    return sorted(out, key=lambda e: (e.length, e.canonical_str()))
+    return sorted(out, key=ExtWeylElt.sort_key)
 
 
 # -- finitary subsets and double cosets --------------------------------------
@@ -538,11 +532,11 @@ def finitary_data_over(datum, K):
                         raise NotFinitary(
                             f"subgroup exceeded {guard} elements")
         frontier = nxt
-    longest = max(elements, key=lambda e: (e.length, e.canonical_str()))
+    longest = max(elements, key=ExtWeylElt.sort_key)
     top = [e for e in elements if e.length == longest.length]
     if len(top) != 1:
         raise NotFinitary("no unique longest element; subgroup not parabolic?")
-    ordered = sorted(elements, key=lambda e: (e.length, e.canonical_str()))
+    ordered = sorted(elements, key=ExtWeylElt.sort_key)
     return ordered, longest
 
 

@@ -226,6 +226,16 @@ def test_cli_tilt_and_determinism(run_cli):
     assert rbad.returncode == 4
 
 
+def test_cli_tilt_rejects_bad_reflection_sets(run_cli):
+    base = ["tilt", "--datum", "GL2", "--p", "2", "--max-len", "1"]
+    r = run_cli(base + ["--L", "s9"])
+    assert r.returncode == 2
+    assert "reflection index 9 out of range" in r.stderr
+    r = run_cli(base + ["--K", "t0"])
+    assert r.returncode == 2
+    assert "bad reflection token 't0'" in r.stderr
+
+
 def test_cli_cache_flow(run_cli, tmp_path):
     run_cli(["pkl", "--datum", "GL2", "--p", "2", "--w", "s0 s1"])
     r = run_cli(["cache", "inspect", "--datum", "GL2", "--p", "2"])

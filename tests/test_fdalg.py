@@ -202,6 +202,14 @@ def test_squarefree_decomposition_char_p():
     assert parts == [([1, 1], 2)]
 
 
+def test_squarefree_decomposition_over_q():
+    q = Rationals()
+    # (x - 1)^2 (x + 2) = x^3 - 3x + 2
+    parts = upoly.squarefree_decomposition(q, [2, -3, 0, 1])
+    assert parts == [([2, 1], 1), ([-1, 1], 2)]
+    assert all(type(c) is int for g, _ in parts for c in g)
+
+
 def test_frobenius_factor_split():
     f = PrimeField(2)
     # (x^2+x+1)(x+1): squarefree with two irreducible factors

@@ -3,6 +3,7 @@ import pytest
 from affkl import build_root_datum, weyl
 from affkl.errors import (
     DatumMismatch,
+    MalformedDatum,
     NotFinitary,
     NotInWaff,
     NotLengthZero,
@@ -252,10 +253,17 @@ def test_serialization_round_trip(gl2):
     for x in random_elements(gl2, 30, seed=5):
         s = x.canonical_str()
         assert element_from_str(gl2, s) == x
-        js = x.to_json()
-        from affkl.weyl import from_json
 
-        assert from_json(gl2, js) == x
+
+@pytest.mark.parametrize("text", [
+    "-1;0,0",      # index below range (would wrap to the last reflection)
+    "1;0,0",       # GL2 has one simple root: index 1 is no finite letter
+    "1;0",         # short translation
+    "1;0,0,5",     # long translation
+])
+def test_element_from_str_rejects_malformed(gl2, text):
+    with pytest.raises(MalformedDatum):
+        element_from_str(gl2, text)
 
 
 REGISTRY = ("GL2", "GL3", "A1-sc", "A1-adj", "A1xA1-sc", "A2-sc", "A3-sc",
