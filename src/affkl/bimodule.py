@@ -154,43 +154,54 @@ def b_object(real, s):
 
 def tensor(m, n):
     """Product over R: left basis pairs, right action through the second
-    factor, labels multiplied with the first factor's twist."""
+    factor, labels multiplied with the first factor's twist.
+
+    Entry (l, j) of n's action for x_g, a polynomial sum_mu c_mu x^mu, acts
+    on the m factor by sum_mu c_mu A^mu, where A^mu is the product of m's
+    action matrices: each A^mu is built once per product, as a lower
+    monomial's matrix times one action matrix, and shared by every g and
+    every entry."""
     if m.real is not n.real:
         raise RealizationMismatch("tensor factors over different realizations")
     ring = m.real.ring
     nm, nn = m.rank, n.rank
+    size = nm * nn
     degrees = tuple(m.degrees[i] + n.degrees[j]
                     for i in range(nm) for j in range(nn))
+    memo = {(0,) * ring.nvars: [[ring.one if i == k else ring.zero
+                                 for i in range(nm)] for k in range(nm)]}
+
+    def mono_mat(mu):
+        if mu not in memo:
+            t = next(i for i, e in enumerate(mu) if e)
+            lower = mu[:t] + (mu[t] - 1,) + mu[t + 1:]
+            memo[mu] = ring.mat_mul(mono_mat(lower), m.act[t])
+        return memo[mu]
+
     acts = []
     for g in range(m.real.dim):
-        size = nm * nn
         big = [[ring.zero] * size for _ in range(size)]
-        for l in range(nn):
-            for j in range(nn):
-                entry = n.act[g][l][j]
+        for l, row in enumerate(n.act[g]):
+            for j, entry in enumerate(row):
                 if not entry:
                     continue
-                block = ring.mat_eval_poly(entry, m.act, nm)
+                terms = [(c, mono_mat(mu)) for mu, c in entry.items()]
                 for k in range(nm):
                     for i in range(nm):
-                        if block[k][i]:
-                            big[k * nn + l][i * nn + j] = ring.add(
-                                big[k * nn + l][i * nn + j], block[k][i])
+                        big[k * nn + l][i * nn + j] = ring.lincomb(
+                            (c, a[k][i]) for c, a in terms)
         acts.append(big)
     labels = {}
     for u, xs in m.labels:
         twist = m.real.fin_action_matrix(u)
         for v, ys in n.labels:
-            w = u * v
-            bucket = labels.setdefault(w, [])
+            tys = [[ring.apply_linear(yj, twist) for yj in y] for y in ys]
+            bucket = labels.setdefault(u * v, [])
             for x in xs:
-                for y in ys:
-                    ty = [ring.apply_linear(yj, twist) for yj in y]
-                    vec = tuple(
-                        ring.mul(x[i], ty[j]) if x[i] and ty[j] else ring.zero
-                        for i in range(nm) for j in range(nn)
-                    )
-                    bucket.append(vec)
+                for ty in tys:
+                    bucket.append(tuple(
+                        ring.mul(xi, tj) if xi and tj else ring.zero
+                        for xi in x for tj in ty))
     hint = None
     if m.char_hint is not None and n.char_hint is not None:
         hint = hecke_mult(m.char_hint, n.char_hint)

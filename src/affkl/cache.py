@@ -1,11 +1,12 @@
 """Persistence of expansion tables as versioned JSON documents."""
 
+import contextlib
 import hashlib
 import json
 import os
 import random
 
-from .errors import CacheCorrupt
+from .errors import CacheCorrupt, MalformedDatum
 from .serialize import (
     bimodule_from_json,
     bimodule_to_json,
@@ -80,11 +81,13 @@ def load_table(path, datum=None):
     for key, entry in doc["entries"].items():
         if entry.get("rhash") != rhash:
             continue
-        w = element_from_str(datum, key)
-        table.entries[w] = hecke_from_json(datum, entry["coeffs"])
+        with _parsing(path, key):
+            w = element_from_str(datum, key)
+            table.entries[w] = hecke_from_json(datum, entry["coeffs"])
     for key, repj in doc.get("reps", {}).items():
-        w = element_from_str(datum, key)
-        rep = bimodule_from_json(table.real, repj)
+        with _parsing(path, key):
+            w = element_from_str(datum, key)
+            rep = bimodule_from_json(table.real, repj)
         # ensure() builds ch(rep(w)·B_s) from this, and may skip the split on it
         if w in table.entries and rep.char_hint != table.entries[w]:
             raise CacheCorrupt(
@@ -98,6 +101,18 @@ def load_table(path, datum=None):
         raise CacheCorrupt(
             f"{path}: entry {w.canonical_str()} has no stored representative")
     return table
+
+
+@contextlib.contextmanager
+def _parsing(path, key):
+    """Re-raise an error in parsing the document's data under key as
+    CacheCorrupt naming the key: a damaged file is not a bad configuration."""
+    try:
+        yield
+    except (MalformedDatum, ValueError, KeyError, IndexError,
+            ZeroDivisionError) as exc:
+        raise CacheCorrupt(
+            f"{path}: stored {key!r} does not parse: {exc}") from exc
 
 
 def file_hash(path):

@@ -6,6 +6,11 @@ Python values (int in [0, p) over GF(p); over Q an int, or a Fraction only
 when not integral), with arithmetic routed through the field object.  This
 keeps polynomial dictionaries light and lets the mod-p linear algebra hand
 coefficients to numpy directly.
+
+Kernels that sum many products (`polys.PolyRing`) accumulate coefficients
+unreduced, with Python `+` and `*` on field elements, and call the field's
+`reduce` once per result: it maps any such sum of products to the canonical
+element it equals (`% p` over GF(p), `_canonical` over Q).
 """
 
 from fractions import Fraction
@@ -36,6 +41,9 @@ class Rationals:
 
     def neg(self, a):
         return -a
+
+    def reduce(self, a):
+        return _canonical(a)
 
     def inv(self, a):
         return _canonical(Fraction(1, a))
@@ -75,6 +83,9 @@ class PrimeField:
 
     def neg(self, a):
         return (-a) % self.char
+
+    def reduce(self, a):
+        return a % self.char
 
     def inv(self, a):
         return pow(a, self.char - 2, self.char)

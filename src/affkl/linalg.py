@@ -26,8 +26,9 @@ rows change it, and each solution has its free columns set to zero.
 
 The dense backends stay public.  Generic elimination over a field object
 (`rref_field`, `kernel_field`, `SpanSolver`) also serves the small
-finite-dimensional algebras, and fraction-free elimination (`poly_rank`,
-`poly_kernel`) works over a polynomial ring.
+finite-dimensional algebras, and fraction-free elimination
+(`independent_rows` behind `poly_rank`, and `poly_kernel`) works over a
+polynomial ring.
 """
 
 import math
@@ -442,31 +443,33 @@ class SpanSolver:
 
 def poly_rank(rows, ring):
     """Rank of a matrix of polynomials (entries over an integral domain)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = ring.one
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        piv = m[rank][c]
-        for i in range(rank + 1, len(m)):
-            row = m[i]
-            if not any(row[c2] for c2 in range(c, ncols)):
-                continue
-            for j in range(ncols):
-                if j == c:
-                    continue
-                num = ring.sub(ring.mul(piv, row[j]), ring.mul(row[c], m[rank][j]))
-                row[j] = ring.exact_div(num, prev) if num else {}
-            row[c] = {}
-        prev = piv
-        rank += 1
-    return rank
+    return len(independent_rows(rows, ring))
+
+
+def independent_rows(rows, ring):
+    """Greedy maximal subset of rows independent over the fraction field.
+
+    Each row is reduced against a fraction-free (Bareiss) echelon form of
+    the rows selected before it, and is selected when a nonzero entry is
+    left.  After k steps its entries are (k+1)-minors of the selected rows
+    and itself, so each division by the previous pivot is exact, whatever
+    the order of the pivot columns."""
+    selected, echelon = [], []          # echelon: (pivot column, row)
+    for v in rows:
+        row, prev = list(v), None
+        for c, piv_row in echelon:
+            if not any(row):
+                break
+            piv, f = piv_row[c], row[c]
+            row = [{} if j == c else ring.mul_sub(piv, x, f, y)
+                   for j, (x, y) in enumerate(zip(row, piv_row))]
+            if prev is not None:
+                row = [ring.exact_div(x, prev) if x else x for x in row]
+            prev = piv
+        if any(row):
+            echelon.append((next(j for j, x in enumerate(row) if x), row))
+            selected.append(v)
+    return selected
 
 
 def poly_kernel(rows, ncols, ring):
@@ -486,7 +489,7 @@ def poly_kernel(rows, ncols, ring):
                 # row_i <- piv * row_i - row_i[c] * row_r  (no division: sizes tiny)
                 piv = m[r][c]
                 f = m[i][c]
-                m[i] = [ring.sub(ring.mul(piv, m[i][j]), ring.mul(f, m[r][j]))
+                m[i] = [ring.mul_sub(piv, m[i][j], f, m[r][j])
                         for j in range(ncols)]
         pivots.append(c)
         r += 1

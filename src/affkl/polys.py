@@ -4,7 +4,14 @@ A polynomial is a dict {exponent tuple: nonzero field element}.  Variables
 sit in grading degree 2, so a monomial of exponent sum e has degree 2e.
 The ring carries the field and the variable count; all arithmetic goes
 through PolyRing methods so the same code runs over Q and GF(p).
+
+Sums of products (`mul`, `mul_sub`, `dot`, `lincomb` and the matrix and
+substitution kernels built on them) accumulate raw coefficients with Python
+`+` and `*` into one dict and reduce each output monomial once, through
+`field.reduce`, dropping the zeros there.
 """
+
+from operator import add
 
 from .errors import SolverError
 
@@ -15,6 +22,8 @@ class PolyRing:
         self.nvars = nvars
         self.zero = {}
         self.one = {(0,) * nvars: field.one}
+        self._powers = {}       # substitution matrix -> per variable {e: image^e}
+        self._mono_str = {}     # monomial -> its "x0^2*x1" text
 
     # -- construction -----------------------------------------------------
 
@@ -61,18 +70,48 @@ class PolyRing:
             return {}
         return {m: self.field.mul(c, x) for m, x in f.items()}
 
-    def mul(self, f, g):
-        fld = self.field
+    def _reduce(self, acc):
+        """acc with each coefficient reduced once and the zeros dropped."""
+        red = self.field.reduce
         out = {}
-        for m1, c1 in f.items():
-            for m2, c2 in g.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = fld.add(out.get(m, fld.zero), fld.mul(c1, c2))
-                if fld.is_zero(s):
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+        for m, c in acc.items():
+            c = red(c)
+            if c:
+                out[m] = c
         return out
+
+    @staticmethod
+    def _gather(acc, f, g, scale=1):
+        """acc += scale * f * g, unreduced."""
+        for m1, c1 in f.items():
+            c1 *= scale
+            for m2, c2 in g.items():
+                m = tuple(map(add, m1, m2))
+                acc[m] = acc.get(m, 0) + c1 * c2
+        return acc
+
+    def mul(self, f, g):
+        return self._reduce(self._gather({}, f, g))
+
+    def mul_sub(self, a, b, c, d):
+        """a * b - c * d."""
+        return self._reduce(self._gather(self._gather({}, a, b), c, d, -1))
+
+    def dot(self, fs, gs):
+        """sum of f * g over the pairs of fs and gs."""
+        acc = {}
+        for f, g in zip(fs, gs):
+            if f and g:
+                self._gather(acc, f, g)
+        return self._reduce(acc)
+
+    def lincomb(self, terms):
+        """sum of c * f over the (field element c, polynomial f) pairs."""
+        acc = {}
+        for c, f in terms:
+            for m, x in f.items():
+                acc[m] = acc.get(m, 0) + c * x
+        return self._reduce(acc)
 
     def is_zero(self, f):
         return not f
@@ -92,25 +131,29 @@ class PolyRing:
     # -- substitution and division ------------------------------------------
 
     def apply_linear(self, f, mat):
-        """Substitute x_i -> sum_j mat[j][i] x_j (mat over the field)."""
-        fld = self.field
-        images = [self.linear([mat[j][i] for j in range(self.nvars)])
-                  for i in range(self.nvars)]
-        out = {}
-        pow_cache = [{0: self.one} for _ in range(self.nvars)]
+        """Substitute x_i -> sum_j mat[j][i] x_j (mat over the field, a tuple
+        of tuples: the powers of its images stay on the ring for reuse)."""
+        powers = self._powers.get(mat)
+        if powers is None:
+            powers = self._powers[mat] = [
+                {1: self.linear([row[i] for row in mat])}
+                for i in range(self.nvars)]
+        terms = []
         for m, c in f.items():
-            term = self.const(1)
+            term = self.one
             for i, e in enumerate(m):
                 if e:
-                    if e not in pow_cache[i]:
-                        prev = max(k for k in pow_cache[i] if k < e)
-                        cur = pow_cache[i][prev]
+                    cache = powers[i]
+                    if e not in cache:
+                        prev = max(k for k in cache if k < e)
+                        cur = cache[prev]
                         for _ in range(e - prev):
-                            cur = self.mul(cur, images[i])
-                        pow_cache[i][e] = cur
-                    term = self.mul(term, pow_cache[i][e])
-            out = self.add(out, self.smul(c, term))
-        return out
+                            cur = self.mul(cur, cache[1])
+                        cache[e] = cur
+                    term = (cache[e] if term is self.one
+                            else self.mul(term, cache[e]))
+            terms.append((c, term))
+        return self.lincomb(terms)
 
     def exact_div(self, f, g):
         """Quotient f / g, asserting exact division (lex long division)."""
@@ -144,56 +187,11 @@ class PolyRing:
     # -- matrices of polynomials ---------------------------------------------
 
     def mat_mul(self, a, b):
-        n, k = len(a), len(b)
-        m = len(b[0]) if k else 0
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = {}
-                for t in range(k):
-                    if a[i][t] and b[t][j]:
-                        acc = self.add(acc, self.mul(a[i][t], b[t][j]))
-                row.append(acc)
-            out.append(row)
-        return out
+        cols = list(zip(*b))
+        return [[self.dot(row, col) for col in cols] for row in a]
 
     def mat_vec(self, a, v):
-        out = []
-        for row in a:
-            acc = {}
-            for x, y in zip(row, v):
-                if x and y:
-                    acc = self.add(acc, self.mul(x, y))
-            out.append(acc)
-        return out
-
-    def mat_eval_poly(self, g, mats, size):
-        """Evaluate g(x_0, ..., x_{n-1}) at commuting square matrices."""
-        ident = [[self.one if i == j else {} for j in range(size)]
-                 for i in range(size)]
-        zero = [[{} for _ in range(size)] for _ in range(size)]
-        powers = [dict() for _ in range(self.nvars)]
-        out = zero
-        for m, c in g.items():
-            term = None
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if e not in powers[i]:
-                    best = max((k for k in powers[i] if k < e), default=0)
-                    cur = powers[i][best] if best else ident
-                    for _ in range(e - best):
-                        cur = self.mat_mul(cur, mats[i])
-                    powers[i][e] = cur
-                fact = powers[i][e]
-                term = fact if term is None else self.mat_mul(term, fact)
-            if term is None:
-                term = ident
-            scaled = [[self.smul(c, x) for x in row] for row in term]
-            out = [[self.add(x, y) for x, y in zip(ro, rs)]
-                   for ro, rs in zip(out, scaled)]
-        return out
+        return [self.dot(row, v) for row in a]
 
     # -- rendering -----------------------------------------------------------
 
@@ -202,12 +200,13 @@ class PolyRing:
             return "0"
         parts = []
         for m in sorted(f, reverse=True):
-            c = f[m]
-            vars_part = "*".join(
-                f"x{i}" if e == 1 else f"x{i}^{e}"
-                for i, e in enumerate(m) if e
-            )
-            cs = self.field.to_str(c)
+            vars_part = self._mono_str.get(m)
+            if vars_part is None:
+                vars_part = self._mono_str[m] = "*".join(
+                    f"x{i}" if e == 1 else f"x{i}^{e}"
+                    for i, e in enumerate(m) if e
+                )
+            cs = self.field.to_str(f[m])
             parts.append(f"{cs}*{vars_part}" if vars_part else cs)
         return " + ".join(parts)
 

@@ -20,7 +20,7 @@ from .fdalg import FDAlgebra
 from .hecke import omega_times, unit as hecke_unit
 from .homs import SlotMap, hom_space, solve_in_basis
 from .laurent import LaurentPoly, ONE
-from .linalg import SpanSolver, rref_field
+from .linalg import SpanSolver, independent_rows, rref_field
 from .realization import build_realization
 from .weyl import bruhat_leq, omega_factorize, reduced_word, simple_reflections
 
@@ -57,14 +57,9 @@ def end0_split(m):
         return [(ident, _whole_summand(m))]
     out = []
     for coords in idems:
-        emat = [[{} for _ in range(m.rank)] for _ in range(m.rank)]
-        for c, p in zip(coords, basis):
-            if fld.is_zero(c):
-                continue
-            for i in range(m.rank):
-                for j in range(m.rank):
-                    if p[i][j]:
-                        emat[i][j] = ring.add(emat[i][j], ring.smul(c, p[i][j]))
+        terms = [(c, p) for c, p in zip(coords, basis) if c]
+        emat = [[ring.lincomb((c, p[i][j]) for c, p in terms)
+                 for j in range(m.rank)] for i in range(m.rank)]
         out.append((emat, materialize_summand(m, emat)))
     out.sort(key=lambda t: (sorted(t[1].degrees), _label_key(t[1])))
     return out
@@ -93,16 +88,8 @@ def materialize_summand(m, emat):
             raise SolverError("scalar image vector is not degree-homogeneous")
         degrees.append(degs.pop())
     # graded Nakayama lift: v_l = e . w_l freely generates the image
-    vcols = []
-    for w in w_vecs:
-        v = []
-        for i in range(n):
-            acc = {}
-            for j, c in enumerate(w):
-                if not fld.is_zero(c) and emat[i][j]:
-                    acc = ring.add(acc, ring.smul(c, emat[i][j]))
-            v.append(acc)
-        vcols.append(v)
+    vcols = [[ring.lincomb((c, emat[i][j]) for j, c in enumerate(w) if c)
+              for i in range(n)] for w in w_vecs]
     # the action images x_g . v_l and the label images e . x, expressed in
     # the v_l with one solve per degree
     images = defaultdict(list)     # degree -> [(key, vector over R)]
@@ -131,7 +118,7 @@ def materialize_summand(m, emat):
     for lw, (w, xs) in enumerate(m.labels):
         vecs = [tuple(coords["label", lw, xi]) for xi in range(len(xs))
                 if ("label", lw, xi) in coords]
-        vecs = _independent_subset(vecs, ring)
+        vecs = independent_rows(vecs, ring)
         if vecs:
             labels.append((w, tuple(vecs)))
     return LabeledBimodule(
@@ -144,22 +131,11 @@ def _whole_summand(m):
     for the identity idempotent, without the per-degree solves."""
     labels = []
     for w, xs in m.labels:
-        vecs = _independent_subset([x for x in xs if any(x)], m.real.ring)
+        vecs = independent_rows([x for x in xs if any(x)], m.real.ring)
         if vecs:
             labels.append((w, tuple(vecs)))
     return LabeledBimodule(m.real, m.degrees, m.act, tuple(labels),
                            wordlen=m.wordlen, char_hint=None)
-
-
-def _independent_subset(vecs, ring):
-    """Greedy maximal independent subset over the fraction field."""
-    from .linalg import poly_rank
-
-    selected = []
-    for v in vecs:
-        if poly_rank([list(u) for u in selected] + [list(v)], ring) > len(selected):
-            selected.append(v)
-    return selected
 
 
 def _module_degree(m, x):

@@ -183,3 +183,79 @@ def test_hom_formula_small(gl2, gl2_refls):
                 n = bott_samelson(real, e, wy, 0)
                 assert graded_hom_dims(m, n) == hecke_pairing(
                     character(m), character(n)), (char, wx, wy)
+
+
+def _ref_tensor(m, n):
+    """act and labels of m * n, each entry evaluated monomial by monomial:
+    the powers of m's action matrices are rebuilt for every entry of n's
+    action and every generator, and each monomial adds a scaled copy."""
+    ring = m.real.ring
+    nm, nn = m.rank, n.rank
+
+    def mat_mul(a, b):
+        out = [[{} for _ in b[0]] for _ in a]
+        for i, row in enumerate(a):
+            for t, x in enumerate(row):
+                for j, y in enumerate(b[t]):
+                    out[i][j] = ring.add(out[i][j], ring.mul(x, y))
+        return out
+
+    def eval_poly(g):
+        ident = [[ring.one if i == j else {} for j in range(nm)]
+                 for i in range(nm)]
+        out = [[{} for _ in range(nm)] for _ in range(nm)]
+        for mono, c in g.items():
+            term = ident
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    term = mat_mul(term, m.act[i])
+            out = [[ring.add(x, ring.smul(c, y)) for x, y in zip(ro, rt)]
+                   for ro, rt in zip(out, term)]
+        return out
+
+    acts = []
+    for g in range(m.real.dim):
+        big = [[{} for _ in range(nm * nn)] for _ in range(nm * nn)]
+        for l in range(nn):
+            for j in range(nn):
+                block = eval_poly(n.act[g][l][j])
+                for k in range(nm):
+                    for i in range(nm):
+                        big[k * nn + l][i * nn + j] = block[k][i]
+        acts.append(big)
+    labels = {}
+    for u, xs in m.labels:
+        twist = m.real.fin_action_matrix(u)
+        for v, ys in n.labels:
+            for x in xs:
+                for y in ys:
+                    ty = [ring.apply_linear(yj, twist) for yj in y]
+                    labels.setdefault(u * v, []).append(tuple(
+                        ring.mul(x[i], ty[j])
+                        for i in range(nm) for j in range(nn)))
+    return acts, {w: tuple(vs) for w, vs in labels.items()}
+
+
+@pytest.mark.parametrize("name, char", [("GL2", 2), ("GL2", 3), ("GL3", 2),
+                                        ("A2-sc", 0), ("B2-sc", 0)])
+def test_tensor_matches_entrywise_reference(name, char):
+    datum = build_root_datum(name)
+    real = build_realization(datum, char)
+    refls = simple_reflections(datum, conj_search=False)
+    e = wid(datum)
+    words = [[s] for s in refls]
+    words += [w + [s] for w in words for s in refls]
+    words += [w + [s] for w in words if len(w) == 2 for s in refls]
+    # each word as (its prefix) * B_s, and length 3 as B_s * (the rest)
+    pairs = [(bott_samelson(real, e, w[:-1]), b_object(real, w[-1]))
+             for w in words]
+    pairs += [(b_object(real, w[0]), bott_samelson(real, e, w[1:]))
+              for w in words if len(w) == 3]
+    if char == 0 and name == "B2-sc":
+        assert any(type(c) is Fraction for _, n in pairs for mat in n.act
+                   for row in mat for x in row for c in x.values())
+    for m, n in pairs:
+        out = tensor(m, n)
+        acts, labels = _ref_tensor(m, n)
+        assert [list(map(list, a)) for a in out.act] == acts
+        assert dict(out.labels) == labels

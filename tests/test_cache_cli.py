@@ -260,6 +260,36 @@ def test_cli_cache_flow(run_cli, tmp_path):
     assert key in r.stderr
 
 
+def test_cli_unparsable_cache_data_exits_5(run_cli, tmp_path):
+    # a stored key or polynomial that does not parse is a damaged cache
+    # (exit 5), not a bad configuration (exit 2)
+    run_cli(["pkl", "--datum", "GL2", "--p", "2", "--w", "s0 s1"])
+    cache_file = next((tmp_path / "affkl_cache").glob("*.json"))
+    clean = json.loads(cache_file.read_text())
+
+    def bad_key(doc):
+        entries = doc["entries"]
+        entries["-1;0,0"] = entries.pop(sorted(entries)[-1])
+        return "-1;0,0"
+
+    def bad_act(doc):
+        # x9 is beyond the rank of GL2
+        key = next(k for k in sorted(doc["reps"])
+                   if len(doc["reps"][k]["degrees"]) > 1)
+        doc["reps"][key]["act"][0][0][0] = "1*x9"
+        return key
+
+    for tamper in (bad_key, bad_act):
+        doc = json.loads(json.dumps(clean))
+        key = tamper(doc)
+        cache_file.write_text(json.dumps(doc))
+        for args in (["cache", "verify", "--datum", "GL2", "--p", "2"],
+                     ["pkl", "--datum", "GL2", "--p", "2", "--w", "s0 s1"]):
+            r = run_cli(args)
+            assert r.returncode == 5, (args, r.stderr)
+            assert key in r.stderr
+
+
 def test_cli_datum_file(gl2, run_cli, tmp_path):
     import pathlib
 

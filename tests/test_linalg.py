@@ -9,6 +9,7 @@ from affkl.fields import PrimeField, Rationals
 from affkl.linalg import (
     _MODULAR_PRIMES,
     _rref_dense,
+    independent_rows,
     kernel,
     kernel_field,
     kernel_mod_p,
@@ -241,6 +242,60 @@ def test_poly_rank_and_kernel():
     rows2 = [[x, ring.zero], [ring.zero, y]]
     assert poly_rank(rows2, ring) == 2
     assert poly_kernel(rows2, 2, ring) == []
+
+
+def _batch_bareiss_rank(rows, ring):
+    """Rank by fraction-free elimination of the whole matrix, column by
+    column (the reference for the row-by-row echelon of independent_rows)."""
+    m = [list(r) for r in rows]
+    ncols = len(m[0]) if m else 0
+    rank, prev = 0, ring.one
+    for c in range(ncols):
+        pr = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[rank], m[pr] = m[pr], m[rank]
+        piv = m[rank][c]
+        for row in m[rank + 1:]:
+            for j in range(ncols):
+                if j != c:
+                    num = ring.sub(ring.mul(piv, row[j]),
+                                   ring.mul(row[c], m[rank][j]))
+                    row[j] = ring.exact_div(num, prev) if num else {}
+            row[c] = {}
+        prev = piv
+        rank += 1
+    return rank
+
+
+def test_independent_rows_is_the_greedy_choice():
+    """Same selection as testing rank(selected + [v]) for each candidate."""
+    rng = random.Random(3)
+    for fld in (PrimeField(2), PrimeField(3), Rationals()):
+        ring = PolyRing(fld, 2)
+        gens = [ring.one, ring.gen(0), ring.gen(1)]
+        for _ in range(25):
+            ncols = rng.randrange(1, 5)
+
+            def rand_vec():
+                return tuple(ring.mul(rng.choice(gens), ring.lincomb(
+                    [(fld.from_int(rng.randrange(-2, 3)), g) for g in gens]))
+                    for _ in range(ncols))
+
+            vecs = [rand_vec() for _ in range(rng.randrange(1, 4))]
+            # dependent candidates: polynomial combinations of earlier ones
+            for _ in range(rng.randrange(4)):
+                a, b = rng.sample(vecs, 2) if len(vecs) > 1 else (vecs[0],) * 2
+                ca, cb = rng.choice(gens), rng.choice(gens)
+                vecs.append(tuple(ring.add(ring.mul(ca, x), ring.mul(cb, y))
+                                  for x, y in zip(a, b)))
+                vecs.append(rand_vec())
+            expect = []
+            for v in vecs:
+                if _batch_bareiss_rank(expect + [v], ring) > len(expect):
+                    expect.append(v)
+            assert independent_rows(vecs, ring) == expect
+            assert poly_rank(vecs, ring) == len(expect)
 
 
 # -- the sparse API against the dense backends -------------------------------
