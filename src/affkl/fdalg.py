@@ -217,7 +217,7 @@ class _Quotient:
         for e in centrals:
             # check block center = base field
             block = _corner_basis(quo, e)
-            zdim = _center_dim_of_corner(quo, e, block)
+            zdim = len(_center(quo, block, SpanSolverSafe(block, fld).coords))
             if zdim > 1:
                 raise SplitOverExtensionNeeded(
                     zdim, f"block center has degree {zdim} over the base field")
@@ -278,18 +278,8 @@ def _central_primitives(quo):
     of Z can split it.
     """
     fld = quo.field
-    n = quo.dim
-    # center: [x, b_i] = 0 for all i, linear in the coordinates of x
-    mat = []
-    for i in range(n):
-        bi = quo.basis_vec(i)
-        cols = []
-        for k in range(n):
-            bk = quo.basis_vec(k)
-            cols.append(quo.sub(quo.mul(bk, bi), quo.mul(bi, bk)))
-        for comp in range(n):
-            mat.append([cols[k][comp] for k in range(n)])
-    center = kernel_field(mat, n, fld)
+    center = _center(quo, [quo.basis_vec(i) for i in range(quo.dim)],
+                     lambda v: v)
     if not center:
         raise SolverError("center computation returned nothing")
     if fld.char > 0:
@@ -303,14 +293,28 @@ def _central_primitives(quo):
     return idems
 
 
+def _center(quo, basis, coords):
+    """Coordinate vectors, on basis, of the center of the subalgebra it spans:
+    the kernel of x -> [x, b] for all b in basis, with coords(v) the
+    coordinates on basis of an element v of the span."""
+    m = len(basis)
+    mat = []
+    for bi in basis:
+        cols = [coords(quo.sub(quo.mul(bk, bi), quo.mul(bi, bk)))
+                for bk in basis]
+        mat.extend([col[c] for col in cols] for c in range(m))
+    return kernel_field(mat, m, quo.field)
+
+
 def _frobenius_fixed(quo, center_basis):
     """Basis of {z in center : z^p = z} (spanned by the block units)."""
     fld = quo.field
     m = len(center_basis)
+    span = SpanSolverSafe(center_basis, fld)
     cols = []
     for v in center_basis:
         zp = _alg_pow(quo, v, fld.char)
-        sol = SpanSolverSafe(center_basis, fld).coords(zp)
+        sol = span.coords(zp)
         if sol is None:
             raise SolverError("center is not closed under Frobenius?")
         cols.append(sol)
@@ -443,23 +447,6 @@ def _corner_basis(quo, e):
         vecs.append(v)
     red, pivots = rref_field(vecs, fld)
     return [list(r) for r in red]
-
-
-def _center_dim_of_corner(quo, e, corner):
-    """Dimension of the center of the corner algebra e A e."""
-    fld = quo.field
-    m = len(corner)
-    span = SpanSolverSafe(corner, fld)
-    mat = []
-    for bi in corner:
-        cols = []
-        for bk in corner:
-            comm = quo.sub(quo.mul(bk, bi), quo.mul(bi, bk))
-            cols.append(span.coords(comm))
-        for comp in range(m):
-            mat.append([cols[k][comp] for k in range(m)])
-    kern = kernel_field(mat, m, fld)
-    return len(kern)
 
 
 def _split_block(quo, e, corner):

@@ -2,11 +2,15 @@
 
 A datum is stored with full root and coroot tables (index-aligned) so that
 non-semisimple lattices such as GL_n are first-class.  Positive roots are the
-ones whose coordinates in the simple basis are all nonnegative.
+ones whose coordinates in the simple basis are all nonnegative.  The bundled
+data live only in the data/*.json documents, and every datum, bundled or
+explicit, goes through one construction and one validation.  The Dynkin type
+of an irreducible component is read off the counts of its own roots.
 """
 
 import functools
 import hashlib
+import importlib.resources as resources
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -189,39 +193,11 @@ def _closure_from_simples(simples, cosimples):
     return roots, coroots
 
 
-def _builtin_tables():
-    """Simple root/coroot pairs for the bundled data, in a fixed basis."""
-    data = {}
-    # sc data: X^vee has the simple coroots as standard basis, so the simple
-    # roots are the rows of the Cartan matrix.
-    def sc(name, cartan_rows):
-        n = len(cartan_rows)
-        simples = [tuple(row) for row in cartan_rows]
-        cosimples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        data[name] = (simples, cosimples)
-
-    sc("A1-sc", [[2]])
-    sc("A2-sc", [[2, -1], [-1, 2]])
-    sc("A3-sc", [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-    sc("B2-sc", [[2, -2], [-1, 2]])
-    sc("C3-sc", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]])
-    sc("G2-sc", [[2, -1], [-3, 2]])
-    # adjoint A1: X = root lattice
-    data["A1-adj"] = ([(1,)], [(2,)])
-    # GL_n: roots e_i - e_j with identical coroots
-    for n in (2, 3):
-        simples = []
-        for i in range(n - 1):
-            v = [0] * n
-            v[i], v[i + 1] = 1, -1
-            simples.append(tuple(v))
-        data[f"GL{n}"] = (simples, list(simples))
-    # product datum for component tests
-    data["A1xA1-sc"] = ([(2, 0), (0, 2)], [(1, 0), (0, 1)])
-    return data
-
-
-_BUILTINS = _builtin_tables()
+def bundled_names():
+    """Names of the bundled data: the stems of the data/*.json documents."""
+    return sorted(f.name[:-len(".json")]
+                  for f in resources.files("affkl.data").iterdir()
+                  if f.name.endswith(".json"))
 
 
 def build_root_datum(desc):
@@ -232,32 +208,23 @@ def build_root_datum(desc):
     alternatively {"simple_roots", "simple_coroots"} generates the closure.
     """
     if isinstance(desc, str):
-        if desc not in _BUILTINS:
-            raise MalformedDatum(
-                f"unknown datum {desc!r}; known: {sorted(_BUILTINS)}")
-        import importlib.resources as resources
-
+        names = bundled_names()
+        if desc not in names:
+            raise MalformedDatum(f"unknown datum {desc!r}; known: {names}")
         doc = json.loads(
             resources.files("affkl.data").joinpath(f"{desc}.json").read_text())
-        datum = RootDatum(
-            rank=int(doc["rank"]),
-            roots=tuple(tuple(int(x) for x in r) for r in doc["roots"]),
-            coroots=tuple(tuple(int(x) for x in c) for c in doc["coroots"]),
-            simple_indices=tuple(int(i) for i in doc["simple"]),
-            name=desc,
-        )
-    elif isinstance(desc, dict) and "simple_roots" in desc:
-        simples = [tuple(r) for r in desc["simple_roots"]]
-        cosimples = [tuple(c) for c in desc["simple_coroots"]]
-        roots, coroots = _closure_from_simples(simples, cosimples)
-        datum = RootDatum(
-            rank=len(simples[0]),
-            roots=tuple(roots),
-            coroots=tuple(coroots),
-            simple_indices=tuple(range(len(simples))),
-            name=desc.get("name", ""),
-        )
-    else:
+        desc = dict(doc, name=desc)
+    if not isinstance(desc, dict):
+        raise MalformedDatum(
+            f"a datum document is a JSON object, not {type(desc).__name__}")
+    try:
+        if "simple_roots" in desc:
+            simples = [tuple(r) for r in desc["simple_roots"]]
+            cosimples = [tuple(c) for c in desc["simple_coroots"]]
+            roots, coroots = _closure_from_simples(simples, cosimples)
+            desc = {"name": desc.get("name", ""), "rank": len(simples[0]),
+                    "roots": roots, "coroots": coroots,
+                    "simple": range(len(simples))}
         datum = RootDatum(
             rank=int(desc["rank"]),
             roots=tuple(tuple(int(x) for x in r) for r in desc["roots"]),
@@ -265,16 +232,30 @@ def build_root_datum(desc):
             simple_indices=tuple(int(i) for i in desc["simple"]),
             name=desc.get("name", ""),
         )
+    except KeyError as exc:
+        raise MalformedDatum(f"datum document has no {exc.args[0]!r} entry") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise MalformedDatum(f"malformed datum document: {exc}") from None
     _validate(datum)
     return datum
 
 
 def load_root_datum(path):
-    with open(path) as fh:
-        return build_root_datum(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MalformedDatum(f"cannot read datum file {path}: {exc}") from None
+    return build_root_datum(doc)
 
 
 def _validate(d):
+    simple = d.simple_indices
+    if len(set(simple)) != len(simple) or not all(
+            0 <= i < len(d.roots) for i in simple):
+        raise MalformedDatum(
+            f"simple indices {list(simple)} repeat or lie outside the "
+            f"{len(d.roots)} roots")
     if len(d.roots) != len(d.coroots):
         raise MalformedDatum("roots and coroots differ in length")
     if len(set(d.roots)) != len(d.roots):
@@ -311,11 +292,7 @@ def components(d):
     """Irreducible components: (simple index set, type label, max short root)."""
     n = d.nsimple
     cart = d.cartan()
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i != j and cart[i][j] != 0:
-                adj[i].add(j)
+    adj = {i: {j for j in range(n) if j != i and cart[i][j]} for i in range(n)}
     seen = set()
     comps = []
     for start in range(n):
@@ -331,118 +308,49 @@ def components(d):
             comp.append(v)
             stack.extend(adj[v] - seen)
         comp.sort()
-        label = _classify(cart, comp)
-        beta = _max_short_root(d, comp)
-        comps.append((tuple(comp), label, beta))
+        comps.append((tuple(comp),) + _component_type(d, comp))
     comps.sort()
     return comps
 
 
-def _classify(cart, comp):
-    k = len(comp)
-    # edge multiplicities m_ij = a_ij * a_ji
-    edges = {}
-    for a in range(k):
-        for b in range(a + 1, k):
-            i, j = comp[a], comp[b]
-            m = cart[i][j] * cart[j][i]
-            if m:
-                edges[(a, b)] = m
-    if len(edges) != k - 1:
-        raise UnclassifiableComponent("component graph is not a tree")
-    deg = [0] * k
-    for (a, b) in edges:
-        deg[a] += 1
-        deg[b] += 1
-    mults = sorted(edges.values())
-    if any(m not in (1, 2, 3) for m in mults):
-        raise UnclassifiableComponent("edge multiplicity outside {1,2,3}")
-    branch = [a for a in range(k) if deg[a] >= 3]
-    if len(branch) > 1 or any(deg[a] > 3 for a in range(k)):
-        raise UnclassifiableComponent("not of finite type (branching)")
-    if 3 in mults:
-        if k != 2 or mults != [3]:
-            raise UnclassifiableComponent("triple edge outside G2")
-        return "G2"
-    n_double = mults.count(2)
-    if n_double > 1:
-        raise UnclassifiableComponent("two double edges")
-    if n_double == 1:
-        if branch:
-            raise UnclassifiableComponent("double edge with branching")
-        (a, b) = next(e for e, m in edges.items() if m == 2)
-        # the double edge must be terminal for B/C, interior only for F4
-        ends = {v for v in (a, b) if deg[v] == 1}
-        if not ends:
-            if k == 4:
-                return "F4"
-            raise UnclassifiableComponent("interior double edge, not F4")
-        if k == 2:
-            return "B2"
-        end = ends.pop()
-        other = b if end == a else a
-        # end node short => B_n, end node long => C_n
-        i, j = comp[end], comp[other]
-        # <alpha_end, alpha_other^vee> = -2 iff alpha_end is long
-        return ("C" if cart[i][j] == -2 else "B") + str(k)
-    if not branch:
-        return f"A{k}"
-    # simply-laced with one branch node: D or E by arm lengths
-    arms = sorted(_arm_lengths(edges, k, branch[0]))
-    if arms[:2] == [1, 1]:
-        return f"D{k}"
-    if arms == [1, 2, 2] and k == 6:
-        return "E6"
-    if arms == [1, 2, 3] and k == 7:
-        return "E7"
-    if arms == [1, 2, 4] and k == 8:
-        return "E8"
-    raise UnclassifiableComponent(f"unrecognized branched diagram (arms {arms})")
+def _component_type(d, comp):
+    """(type label, dominance-maximal short root) of an irreducible component.
 
-
-def _arm_lengths(edges, k, center):
-    nbrs = {a: set() for a in range(k)}
-    for (a, b) in edges:
-        nbrs[a].add(b)
-        nbrs[b].add(a)
-    lengths = []
-    for first in nbrs[center]:
-        ln = 1
-        prev, cur = center, first
-        while True:
-            nxt = nbrs[cur] - {prev}
-            if not nxt:
-                break
-            prev, cur = cur, nxt.pop()
-            ln += 1
-        lengths.append(ln)
-    return lengths
-
-
-def _max_short_root(d, comp):
+    The label is read off the component's rank k, its number n of reduced
+    positive roots (a root whose half is a root is skipped) and the number s
+    of short ones among them (Bourbaki, Lie Groups and Lie Algebras, Ch. VI,
+    Plates I-IX).  The counts tie only for isomorphic types, A3 = D3,
+    A1 = B1 and B2 = C2, and the first label in alphabetical order wins.
+    """
     comp_set = set(comp)
-    cands = []
-    norms = {}
+    roots = set(d.roots)
     sym = _symmetrizer(d, comp)
+    norms = {}
     for r, _ in d.positive_roots:
         coords = d.simple_coords(r)
         support = {i for i, c in enumerate(coords) if c}
-        if support and support <= comp_set:
-            norm = sum(
-                coords[i] * coords[j] * sym[(i, j)]
-                for i in comp for j in comp
-            )
-            cands.append(r)
-            norms[r] = norm
-    if not cands:
-        raise UnclassifiableComponent("component has no roots")
+        reduced = any(x % 2 for x in r) or tuple(x // 2 for x in r) not in roots
+        if reduced and support <= comp_set:
+            norms[r] = sum(coords[i] * coords[j] * sym[(i, j)]
+                           for i in comp for j in comp)
     short = min(norms.values())
-    shorts = [r for r in cands if norms[r] == short]
-    maxima = [r for r in shorts if all(_dominates(d, r, s) for s in shorts)]
+    shorts = [r for r in norms if norms[r] == short]
+    k, n, s = len(comp), len(norms), len(shorts)
+    counts = {f"A{k}": (k * (k + 1) // 2,) * 2, f"B{k}": (k * k, k),
+              f"C{k}": (k * k, k * k - k), f"D{k}": (k * (k - 1),) * 2,
+              "E6": (36, 36), "E7": (63, 63), "E8": (120, 120),
+              "F4": (24, 12), "G2": (6, 3)}
+    label = next((t for t, c in counts.items()
+                  if c == (n, s) and int(t[1:]) == k), None)
+    if label is None:
+        raise UnclassifiableComponent(
+            f"rank {k} component with {n} positive roots, {s} short: "
+            "no finite type has these counts")
+    maxima = [r for r in shorts if all(_dominates(d, r, t) for t in shorts)]
     if len(maxima) != 1:
         raise UnclassifiableComponent(
             f"no unique dominance-maximal short root among {shorts}")
-    return maxima[0]
+    return label, maxima[0]
 
 
 def _dominates(d, r, s):

@@ -74,9 +74,7 @@ def materialize_summand(m, emat):
     ring = m.real.ring
     fld = ring.field
     n = m.rank
-    # scalar reduction; block diagonal across basis degrees
-    ebar = [[ring.constant_part(emat[i][j]) if m.degrees[i] == m.degrees[j]
-             else fld.zero for j in range(n)] for i in range(n)]
+    ebar = _scalar_part(ring, emat, m.degrees)
     # homogeneous basis of the image: row-reduce the columns
     cols = [[ebar[i][j] for i in range(n)] for j in range(n)]
     basis_scalar, _ = rref_field(cols, fld)
@@ -126,6 +124,14 @@ def materialize_summand(m, emat):
         wordlen=m.wordlen, char_hint=None)
 
 
+def _scalar_part(ring, mat, degrees):
+    """Scalar reduction of a degree-0 endomorphism on a basis of the given
+    degrees: the constant terms, block diagonal across the degrees."""
+    fld = ring.field
+    return [[ring.constant_part(mat[i][j]) if di == dj else fld.zero
+             for j, dj in enumerate(degrees)] for i, di in enumerate(degrees)]
+
+
 def _whole_summand(m):
     """M as its own indecomposable summand: what materialize_summand returns
     for the identity idempotent, without the per-degree solves."""
@@ -167,10 +173,7 @@ def is_shifted_iso(s, t, shift):
     ring = s.real.ring
     for f in fwd:
         for g in bwd:
-            comp = ring.mat_mul(g, f)
-            scal = [[ring.constant_part(comp[i][j])
-                     if s.degrees[i] == s.degrees[j] else fld.zero
-                     for j in range(s.rank)] for i in range(s.rank)]
+            scal = _scalar_part(ring, ring.mat_mul(g, f), s.degrees)
             _, pivots = rref_field(scal, fld)
             if len(pivots) == s.rank:
                 return True

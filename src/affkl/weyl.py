@@ -17,7 +17,7 @@ from .errors import (
     NotLengthZero,
     OmegaUnbounded,
 )
-from .matutil import identity, mat_inv_int, mat_mul, mat_vec, smith_normal_form
+from .matutil import identity, mat_inv_int, mat_mul, mat_vec
 from .rootdata import pairing, simple_root_coeffs
 
 
@@ -358,9 +358,6 @@ def omega_elements(datum, bound=1):
     For finite Omega this is the whole subgroup (bound ignored); otherwise all
     products of coset generators with exponents in [-bound, bound].
     """
-    mat = tuple(tuple(r[i] for r in datum.simple_roots) for i in range(datum.rank))
-    factors = smith_normal_form(mat)
-    n_free = datum.rank - len(factors)
     gens = _quotient_generators(datum)
     elts = {wid(datum)}
     for lam, order in gens:
@@ -376,7 +373,7 @@ def omega_elements(datum, bound=1):
                 new.add(e * cur)
         elts = new
     assert all(e.length == 0 for e in elts)
-    if n_free == 0:
+    if omega_is_finite(datum):
         # finite Omega: close under multiplication to be safe
         frontier = set(elts)
         while frontier:

@@ -300,6 +300,22 @@ def test_cli_datum_file(gl2, run_cli, tmp_path):
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("content", [
+    {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]], "simple": [5]},
+    {"rank": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]]},
+    [[2], [-2]],
+    None,
+], ids=["simple-out-of-range", "no-simple", "array", "missing-file"])
+def test_cli_bad_datum_file_is_a_config_error(content, run_cli, tmp_path):
+    path = tmp_path / "bad.json"
+    if content is not None:
+        path.write_text(json.dumps(content))
+    r = run_cli(["check", "--datum-file", str(path), "--p", "2"])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error:")
+    assert "Traceback" not in r.stderr
+
+
 def test_failed_write_keeps_old_document(gl2, tmp_path, monkeypatch):
     table = PCanTable(gl2, 2)
     for u in enumerate_elements(gl2, 2):
