@@ -63,18 +63,34 @@ def _write_doc(path, doc):
         raise
 
 
-def load_table(path, datum=None):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "pcan-table" or doc.get("format") != FORMAT_VERSION:
-        raise CacheCorrupt(f"{path}: unrecognized cache document")
-    from .rootdata import build_root_datum
+def _read_doc(path, datum=None):
+    """The document at path and the empty table its header describes (datum,
+    or the stored one when None).  A document that does not parse, or whose
+    header (datum, datum_fingerprint, characteristic, source,
+    realization_hash, entries) is missing or malformed, raises CacheCorrupt."""
+    with _parsing(path, "header"):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if (not isinstance(doc, dict) or doc.get("kind") != "pcan-table"
+                or doc.get("format") != FORMAT_VERSION):
+            raise CacheCorrupt(f"{path}: unrecognized cache document")
+        from .rootdata import build_root_datum
 
-    if datum is None:
-        datum = build_root_datum(doc["datum"])
-    if datum.fingerprint != doc["datum_fingerprint"]:
-        raise CacheCorrupt(f"{path}: datum fingerprint mismatch")
-    table = PCanTable(datum, doc["characteristic"], source=doc["source"])
+        if datum is None:
+            datum = build_root_datum(doc["datum"])
+        if datum.fingerprint != doc["datum_fingerprint"]:
+            raise CacheCorrupt(f"{path}: datum fingerprint mismatch")
+        table = PCanTable(datum, doc["characteristic"], source=doc["source"])
+        if not (isinstance(doc["realization_hash"], str)
+                and isinstance(doc["entries"], dict)):
+            raise CacheCorrupt(f"{path}: malformed realization_hash or "
+                               "entries")
+    return doc, table
+
+
+def load_table(path, datum=None):
+    doc, table = _read_doc(path, datum)
+    datum = table.datum
     if table.realization_hash() != doc["realization_hash"]:
         raise CacheCorrupt(f"{path}: realization hash mismatch")
     rhash = table.realization_hash()
@@ -109,7 +125,7 @@ def _parsing(path, key):
     CacheCorrupt naming the key: a damaged file is not a bad configuration."""
     try:
         yield
-    except (MalformedDatum, ValueError, KeyError, IndexError,
+    except (MalformedDatum, ValueError, KeyError, IndexError, TypeError,
             ZeroDivisionError) as exc:
         raise CacheCorrupt(
             f"{path}: stored {key!r} does not parse: {exc}") from exc
@@ -179,17 +195,12 @@ def _verify_rep(w, rep, expected):
 
 def gc(path):
     """Drop entries whose recorded realization hash is stale; rewrite."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    from .rootdata import build_root_datum
-
-    datum = build_root_datum(doc["datum"])
-    table = PCanTable(datum, doc["characteristic"], source=doc["source"])
+    doc, table = _read_doc(path)
     rhash = table.realization_hash()
-    before = len(doc.get("entries", {}))
-    doc["entries"] = {k: v for k, v in doc.get("entries", {}).items()
+    before = len(doc["entries"])
+    doc["entries"] = {k: v for k, v in doc["entries"].items()
                       if v.get("rhash") == rhash}
-    if doc.get("realization_hash") != rhash:
+    if doc["realization_hash"] != rhash:
         doc["reps"] = {}
         doc["realization_hash"] = rhash
     _write_doc(path, doc)

@@ -62,8 +62,10 @@ class SplitOverExtensionNeeded(AffklError):
 
     affkl computes over GF(p) and Q only: the p-canonical basis depends only
     on p, so End^0(B_w)/rad is the base field and this error signals a fault,
-    not a missing feature.  Carries the extension degree the block needs
-    (0 when unknown).
+    not a missing feature.  Carries `degree`, the dimension over the base
+    field of the center of the central piece that is not split (0 when a
+    block with center k did not split, as a division algebra over Q would
+    not).
     """
 
     def __init__(self, degree, message=""):

@@ -5,13 +5,18 @@ is cut out by the characteristic-polynomial-coefficient chain: its first step
 is the kernel of the trace form, which is the radical in characteristic 0;
 in characteristic p the chain goes on at the coefficients of index p, p^2, ...
 (the trace form alone fails when p divides dimensions).  Idempotents of the
-semisimple quotient are found via the center (Frobenius-fixed subalgebra over
-GF(p), minimal-polynomial factorization over Q) and block splitting,
-then lifted through the radical by Newton iteration.  Linear algebra goes
-through the generic field elimination of `linalg`.
+semisimple quotient are found via the center and block splitting, both
+cutting an idempotent f by the roots in the base field of the minimal
+polynomial of some f z f, then lifted through the radical by Newton
+iteration.  Only roots in the base field are needed: End^0/rad of an
+indecomposable is split, and a simple block that is not split raises
+`SplitOverExtensionNeeded`.  Linear algebra goes through the generic field
+elimination of `linalg`.
 """
 
 import random
+from fractions import Fraction
+from math import isqrt, lcm
 
 from . import upoly
 from .errors import SolverError, SplitOverExtensionNeeded
@@ -215,12 +220,13 @@ class _Quotient:
         centrals = _central_primitives(quo)
         out = []
         for e in centrals:
-            # check block center = base field
+            # in the split case each piece e is a block with center k e
             block = _corner_basis(quo, e)
             zdim = len(_center(quo, block, SpanSolverSafe(block, fld).coords))
             if zdim > 1:
                 raise SplitOverExtensionNeeded(
-                    zdim, f"block center has degree {zdim} over the base field")
+                    zdim, f"central piece has a center of dimension {zdim} "
+                    "over the base field")
             out.extend(_split_block(quo, e, block))
         return out
 
@@ -265,30 +271,21 @@ def _combine(fld, coeffs, vecs, dim):
 def _central_primitives(quo):
     """Primitive idempotents of the center Z of a semisimple algebra.
 
-    Over GF(p) the idempotents of Z span its Frobenius-fixed part, and
-    refining 1 by each basis element of that part separates them.  Over Q,
-    refining 1 by each basis element z of Z, with full factorisation, is
-    enough.  In each resulting piece f, every f z has an irreducible minimal
-    polynomial g_z (refining f further only passes to divisors), and the f z
-    span fZ.  If f were e + e' with e, e' orthogonal central idempotents,
-    phi(x) = tr(ex)/dim eZ - tr(e'x)/dim e'Z (traces of multiplication on
-    eZ and e'Z over Q) would be linear on fZ and vanish on each f z, as
-    both of its terms are the mean of the roots of g_z; so phi = 0 on fZ,
-    yet phi(e) = 1.  Hence f is primitive, and no further (random) element
-    of Z can split it.
+    Refining 1 by each basis element z of Z splits every piece f by the
+    roots, in the base field, of the minimal polynomial of f z.  When Z is
+    split (k^r, as for End^0/rad of an indecomposable), every f z is
+    diagonalisable with eigenvalues in k, so each resulting piece has
+    f z = c_z f for every basis element z: the minimal polynomial of f z is
+    linear, and refining f further keeps it so.  The f z span fZ, so fZ = k f
+    and f is primitive.  When Z is not split, some piece has dim fZ > 1,
+    which `_Quotient.primitive_idempotents` reports.
     """
-    fld = quo.field
     center = _center(quo, [quo.basis_vec(i) for i in range(quo.dim)],
                      lambda v: v)
     if not center:
         raise SolverError("center computation returned nothing")
-    if fld.char > 0:
-        fixed = _frobenius_fixed(quo, center)
-    else:
-        fixed = center
-    # refine the single idempotent 1 by splitting with fixed-space elements
     idems = [list(quo.unit)]
-    for z in fixed:
+    for z in center:
         idems = _refine_by_element(quo, idems, z)
     return idems
 
@@ -306,45 +303,8 @@ def _center(quo, basis, coords):
     return kernel_field(mat, m, quo.field)
 
 
-def _frobenius_fixed(quo, center_basis):
-    """Basis of {z in center : z^p = z} (spanned by the block units)."""
-    fld = quo.field
-    m = len(center_basis)
-    span = SpanSolverSafe(center_basis, fld)
-    cols = []
-    for v in center_basis:
-        zp = _alg_pow(quo, v, fld.char)
-        sol = span.coords(zp)
-        if sol is None:
-            raise SolverError("center is not closed under Frobenius?")
-        cols.append(sol)
-    rows = []
-    for r in range(m):
-        row = []
-        for c in range(m):
-            val = cols[c][r]
-            if r == c:
-                val = fld.sub(val, fld.one)
-            row.append(val)
-        rows.append(row)
-    return [_combine(fld, coeffs, center_basis, quo.dim)
-            for coeffs in kernel_field(rows, m, fld)]
-
-
-def _alg_pow(alg, x, e):
-    out = list(alg.unit)
-    base = x
-    while e:
-        if e & 1:
-            out = alg.mul(out, base)
-        base = alg.mul(base, base)
-        e >>= 1
-    return out
-
-
 def _refine_by_element(quo, idems, z):
     """Split each idempotent f using the spectrum of f z f in its corner."""
-    fld = quo.field
     out = []
     for f in idems:
         zf = quo.mul(quo.mul(f, z), f)
@@ -387,55 +347,47 @@ def _eval_poly_at(quo, poly, z, f):
 
 
 def _coprime_components(fld, mu):
-    """Split mu into pairwise coprime factors (primary components, refined)."""
-    if fld.char == 0:
-        return _factor_q(fld, mu)
+    """Pairwise coprime factors of mu: (x - a)^m for each root a of mu in the
+    base field, in increasing order, then the cofactor with no root there
+    when it is not constant."""
     comps = []
-    for g, m in upoly.squarefree_decomposition(fld, mu):
-        # separate distinct irreducible factors of the squarefree g
-        pieces = [g]
-        changed = True
-        while changed:
-            changed = False
-            nxt = []
-            for piece in pieces:
-                if len(piece) <= 2:
-                    nxt.append(piece)
-                    continue
-                d = upoly.frobenius_factor_split(fld, piece)
-                if d is None:
-                    nxt.append(piece)
-                else:
-                    other, rem = upoly.divmod_poly(fld, piece, d)
-                    if rem:
-                        raise SolverError("inexact factor split")
-                    nxt.extend([d, other])
-                    changed = True
-            pieces = nxt
-        for piece in pieces:
-            comp = [fld.one]
-            for _ in range(m):
-                comp = upoly.mul(fld, comp, piece)
+    for a in _root_candidates(fld, mu):
+        if len(mu) <= 1:
+            break
+        lin = [fld.neg(a), fld.one]
+        comp = [fld.one]
+        while len(mu) > 1:
+            quot, rem = upoly.divmod_poly(fld, mu, lin)
+            if rem:
+                break
+            mu, comp = quot, upoly.mul(fld, comp, lin)
+        if len(comp) > 1:
             comps.append(comp)
+    if len(mu) > 1:
+        comps.append(mu)
     return comps
 
 
-def _factor_q(fld, mu):
-    """Coprime factorization over Q via sympy (irreducible powers)."""
-    import sympy
+def _root_candidates(fld, mu):
+    """Base-field elements, in increasing order, that hold every root of mu:
+    all of GF(p); over Q, 0 and the +-n/d with n dividing the lowest nonzero
+    and d the leading coefficient of mu cleared to integers."""
+    if fld.char:
+        return range(fld.char)
+    den = lcm(*(Fraction(c).denominator for c in mu))
+    ints = [int(c * den) for c in mu]
+    low = next(c for c in ints if c)
+    cands = {0}
+    for n in _divisors(low):
+        for d in _divisors(ints[-1]):
+            cands.update((Fraction(n, d), Fraction(-n, d)))
+    return [fld.reduce(a) for a in sorted(cands)]
 
-    # from the coefficient list: summing sympy expressions would import
-    # sympy.tensor and sympy.combinatorics on first use
-    dense = [sympy.Rational(c) for c in reversed(mu)]
-    _, factors = sympy.Poly(dense, sympy.Symbol("x")).factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [fld.parse(str(c)) for c in reversed(fac.all_coeffs())]
-        comp = [fld.one]
-        for _ in range(mult):
-            comp = upoly.mul(fld, comp, coeffs)
-        out.append(comp)
-    return out
+
+def _divisors(n):
+    n = abs(n)
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
 
 
 def _corner_basis(quo, e):

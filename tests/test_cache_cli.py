@@ -290,6 +290,46 @@ def test_cli_unparsable_cache_data_exits_5(run_cli, tmp_path):
             assert key in r.stderr
 
 
+def _drop(key):
+    def damage(text):
+        doc = json.loads(text)
+        del doc[key]
+        return json.dumps(doc)
+    return damage
+
+
+def _drop_simple(text):
+    doc = json.loads(text)
+    del doc["datum"]["simple"]
+    return json.dumps(doc)
+
+
+def _char_as_string(text):
+    doc = json.loads(text)
+    doc["characteristic"] = str(doc["characteristic"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("damage", [
+    _drop("datum"), _drop_simple, _drop("source"), _drop("entries"),
+    lambda text: text[:500], _char_as_string,
+], ids=["no-datum", "no-simple", "no-source", "no-entries", "truncated",
+        "char-string"])
+def test_cli_damaged_cache_header_exits_5(gl2, damage, run_cli, tmp_path):
+    # a damaged header is a damaged cache (exit 5) for verify and gc alike,
+    # and gc leaves the file as it found it
+    path = tmp_path / "cache.json"
+    _saved_gl2_table(gl2, path)
+    damaged = damage(path.read_text())
+    for action in ("verify", "gc"):
+        path.write_text(damaged)
+        r = run_cli(["cache", action, "--cache", str(path)])
+        assert r.returncode == 5, (action, r.stderr)
+        assert r.stderr.startswith("error:")
+        assert "Traceback" not in r.stderr
+        assert path.read_text() == damaged
+
+
 def test_cli_datum_file(gl2, run_cli, tmp_path):
     import pathlib
 

@@ -3,7 +3,9 @@
 The goldens in tests/data pin the stored expansions and the stored
 representative bimodules, which later computations load and build on.
 A2-sc at p=0 up to length 3 is the first to pin representatives cut out by
-an End^0 split over Q (three of them; none up to length 2).
+an End^0 split over Q (three of them; none up to length 2).  GL2 at p=2 up
+to length 6 pins representatives cut from a quotient k x Mat(2, k) of an
+End^0 with a nonzero radical.
 """
 
 from pathlib import Path
@@ -20,7 +22,7 @@ DATA = Path(__file__).resolve().parent / "data"
 
 @pytest.mark.parametrize("name,p,max_len", [
     ("GL2", 2, 3), ("GL2", 3, 3), ("GL3", 2, 2), ("A2-sc", 0, 2),
-    ("A2-sc", 0, 3)])
+    ("A2-sc", 0, 3), ("GL2", 2, 6)])
 def test_saved_document_matches_golden(name, p, max_len, tmp_path):
     datum = build_root_datum(name)
     table = PCanTable(datum, p)

@@ -1,10 +1,13 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from affkl import upoly
 from affkl.errors import SolverError, SplitOverExtensionNeeded
-from affkl.fdalg import FDAlgebra, SpanSolverSafe, _charpoly
+from affkl.fdalg import (
+    FDAlgebra, SpanSolverSafe, _charpoly, _coprime_components)
 from affkl.fields import PrimeField, Rationals
 
 
@@ -184,42 +187,40 @@ def test_upoly_helpers():
     # a = q b + r
     recon = upoly.add(f, upoly.mul(f, q, b), r)
     assert recon == a
-    g = upoly.gcd(f, upoly.mul(f, a, b), b)
-    assert g == upoly.smul(f, f.inv(b[-1]), b)
     d, s, t = upoly.xgcd(f, [1, 1], [1, 0, 1])
     lhs = upoly.add(f, upoly.mul(f, s, [1, 1]), upoly.mul(f, t, [1, 0, 1]))
     assert lhs == d
 
 
-def test_squarefree_decomposition_char_p():
+def _poly_product(field, polys):
+    out = [field.one]
+    for g in polys:
+        out = upoly.mul(field, out, g)
+    return out
+
+
+def test_coprime_components_gf2():
     f = PrimeField(2)
-    # x^2 (x+1): squarefree parts x (mult 2), x+1 (mult 1)
-    poly = upoly.mul(f, [0, 0, 1], [1, 1])
-    parts = upoly.squarefree_decomposition(f, poly)
-    assert sorted((tuple(g), m) for g, m in parts) == [((0, 1), 2), ((1, 1), 1)]
-    # x^2 + 1 = (x+1)^2 over F_2: derivative vanishes
-    parts = upoly.squarefree_decomposition(f, [1, 0, 1])
-    assert parts == [([1, 1], 2)]
+    # x^2 + x = x (x + 1); x^2; x^2 + x + 1 has no root in GF(2)
+    assert _coprime_components(f, [0, 1, 1]) == [[0, 1], [1, 1]]
+    assert _coprime_components(f, [0, 0, 1]) == [[0, 0, 1]]
+    assert _coprime_components(f, [1, 1, 1]) == [[1, 1, 1]]
 
 
-def test_squarefree_decomposition_over_q():
+def test_coprime_components_gf3():
+    f = PrimeField(3)
+    x, x_minus_2_sq, x2_plus_1 = [0, 1], [1, 2, 1], [1, 0, 1]
+    mu = _poly_product(f, [x, x_minus_2_sq, x2_plus_1])
+    assert _coprime_components(f, mu) == [x, x_minus_2_sq, x2_plus_1]
+
+
+def test_coprime_components_over_q():
     q = Rationals()
-    # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-    parts = upoly.squarefree_decomposition(q, [2, -3, 0, 1])
-    assert parts == [([2, 1], 1), ([-1, 1], 2)]
-    assert all(type(c) is int for g, _ in parts for c in g)
-
-
-def test_frobenius_factor_split():
-    f = PrimeField(2)
-    # (x^2+x+1)(x+1): squarefree with two irreducible factors
-    g = upoly.mul(f, [1, 1, 1], [1, 1])
-    d = upoly.frobenius_factor_split(f, g)
-    assert d is not None
-    q, r = upoly.divmod_poly(f, g, d)
-    assert not r
-    # irreducible polynomial does not split
-    assert upoly.frobenius_factor_split(f, [1, 1, 1]) is None
+    assert _coprime_components(q, [0, -1, 1]) == [[0, 1], [-1, 1]]
+    half = Fraction(1, 2)
+    parts = [[3, 1], [-half, 1], [2, 0, 1]]
+    mu = _poly_product(q, [parts[1], parts[0], parts[2]])
+    assert _coprime_components(q, mu) == parts
 
 
 def test_span_solver_safe_rejects_dependent_family():
@@ -229,3 +230,22 @@ def test_span_solver_safe_rejects_dependent_family():
     assert span.coords([0, 0, 1]) is None
     with pytest.raises(SolverError):
         SpanSolverSafe([[1, 0, 1], [0, 1, 1], [1, 1, 2]], field)
+
+
+def test_end0_splits_over_q_without_sympy(child_env):
+    # A2-sc at p=0 up to length 3 splits three End^0 algebras over Q
+    code = (
+        "import sys\n"
+        "import affkl, affkl.cache, affkl.cli\n"
+        "from affkl import build_root_datum\n"
+        "from affkl.soergel import PCanTable\n"
+        "from affkl.weyl import enumerate_elements\n"
+        "datum = build_root_datum('A2-sc')\n"
+        "table = PCanTable(datum, 0)\n"
+        "for u in enumerate_elements(datum, 3):\n"
+        "    table.ensure(u)\n"
+        "print('sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
