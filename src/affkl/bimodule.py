@@ -6,6 +6,10 @@ group element in its support, polynomial vectors spanning that component of
 the generic fiber.  Construction keeps three invariants: the right-action
 matrices commute, each label vector satisfies the twisted eigencondition
 exactly, and label vectors are homogeneous as module elements.
+
+Conjugation by a length-zero element omega, m -> F_omega * m * F_omega^-1,
+is `transport`: it applies omega to the action matrices and label vectors
+and relabels w -> omega w omega^-1, without forming the two tensor products.
 """
 
 from .errors import NotLengthZero, RealizationMismatch, UnknownCharacter
@@ -211,6 +215,41 @@ def tensor(m, n):
         wordlen=m.wordlen + n.wordlen,
         char_hint=hint,
     )
+
+
+def transport(m, omega):
+    """F_omega * m * F_omega^-1 for a length-zero omega, without the two
+    tensor products.
+
+    With omega^-1 . x_g = sum_h c_gh x_h, the action of x_g becomes
+    omega(sum_h c_gh act_h), entry by entry; each label w becomes
+    omega w omega^-1 with its vectors v mapped to omega(v), and the character
+    is relabelled the same way.  Degrees and word length are unchanged.
+    """
+    if omega.length != 0:
+        raise NotLengthZero(f"omega has length {omega.length}")
+    real = m.real
+    ring = real.ring
+    fmat = real.fin_action_matrix(omega)
+    inv = omega.inverse()
+    acts = []
+    for g in range(real.dim):
+        terms = [(c, m.act[mu.index(1)])
+                 for mu, c in real.act_poly(inv, ring.gen(g)).items()]
+        acts.append([[ring.apply_linear(
+            ring.lincomb((c, a[k][i]) for c, a in terms), fmat)
+            for i in range(m.rank)] for k in range(m.rank)])
+    labels = tuple(
+        (omega * w * inv,
+         tuple(tuple(ring.apply_linear(x, fmat) for x in v) for v in vecs))
+        for w, vecs in m.labels)
+    hint = None
+    if m.char_hint is not None:
+        hint = HeckeElt(real.datum,
+                        {omega * z * inv: c
+                         for z, c in m.char_hint.terms.items()})
+    return LabeledBimodule(real, m.degrees, tuple(acts), labels,
+                           wordlen=m.wordlen, char_hint=hint)
 
 
 def bott_samelson(real, omega, word, shift=0):

@@ -67,7 +67,8 @@ def _read_doc(path, datum=None):
     """The document at path and the empty table its header describes (datum,
     or the stored one when None).  A document that does not parse, or whose
     header (datum, datum_fingerprint, characteristic, source,
-    realization_hash, entries) is missing or malformed, raises CacheCorrupt."""
+    realization_hash, entries, reps) is missing or malformed, raises
+    CacheCorrupt."""
     with _parsing(path, "header"):
         with open(path) as fh:
             doc = json.load(fh)
@@ -81,10 +82,13 @@ def _read_doc(path, datum=None):
         if datum.fingerprint != doc["datum_fingerprint"]:
             raise CacheCorrupt(f"{path}: datum fingerprint mismatch")
         table = PCanTable(datum, doc["characteristic"], source=doc["source"])
-        if not (isinstance(doc["realization_hash"], str)
-                and isinstance(doc["entries"], dict)):
-            raise CacheCorrupt(f"{path}: malformed realization_hash or "
-                               "entries")
+        if not (isinstance(doc["datum"], dict)
+                and isinstance(doc["realization_hash"], str)
+                and isinstance(doc["entries"], dict)
+                and all(isinstance(e, dict) for e in doc["entries"].values())
+                and isinstance(doc.get("reps", {}), dict)):
+            raise CacheCorrupt(f"{path}: malformed datum, realization_hash, "
+                               "entries or reps")
     return doc, table
 
 
@@ -139,17 +143,16 @@ def file_hash(path):
 
 
 def inspect(path):
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc, table = _read_doc(path)
     return {
         "path": path,
-        "datum": doc.get("datum", {}).get("name") or doc.get("datum_fingerprint"),
-        "fingerprint": doc.get("datum_fingerprint"),
-        "p": doc.get("characteristic"),
-        "source": doc.get("source"),
-        "entries": len(doc.get("entries", {})),
+        "datum": table.datum.name or table.datum.fingerprint,
+        "fingerprint": table.datum.fingerprint,
+        "p": table.char,
+        "source": table.source,
+        "entries": len(doc["entries"]),
         "reps": len(doc.get("reps", {})),
-        "realization_hash": doc.get("realization_hash"),
+        "realization_hash": doc["realization_hash"],
         "sha256": file_hash(path),
     }
 

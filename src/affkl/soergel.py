@@ -10,11 +10,25 @@ Before splitting M = rep(y) * B_s, the character ch(M) = p-b_y * b_s is read:
 when no coefficient below the top has a term at an exponent <= 0, M has no
 lower summand (by positivity of the p-canonical basis, in every
 characteristic), so M itself is the representative and End^0 is never built.
+
+Only the least element u0 of each orbit under conjugation by Omega goes
+through its word.  Every other element u = omega u0 omega^-1 of the orbit
+gets p-b_{u0} relabelled z -> omega z omega^-1 and the representative
+bimodule.transport(rep(u0), omega) = F_omega * rep(u0) * F_omega^-1, since
+length-zero elements act by diagram automorphisms that preserve the
+realization.
 """
 
 from collections import defaultdict
 
-from .bimodule import LabeledBimodule, b_object, character, f_object, tensor
+from .bimodule import (
+    LabeledBimodule,
+    b_object,
+    character,
+    f_object,
+    tensor,
+    transport,
+)
 from .errors import IdentificationFailure, SolverError
 from .fdalg import FDAlgebra
 from .hecke import omega_times, unit as hecke_unit
@@ -22,7 +36,15 @@ from .homs import SlotMap, hom_space, solve_in_basis
 from .laurent import LaurentPoly, ONE
 from .linalg import SpanSolver, independent_rows, rref_field
 from .realization import build_realization
-from .weyl import bruhat_leq, omega_factorize, reduced_word, simple_reflections
+from .weyl import (
+    ExtWeylElt,
+    bruhat_leq,
+    omega_elements,
+    omega_factorize,
+    reduced_word,
+    simple_reflections,
+    wid,
+)
 
 
 # -- splitting ---------------------------------------------------------------
@@ -201,7 +223,9 @@ class PCanTable:
         self.real = build_realization(datum, char) if source == "soergel" else None
         self.entries = {}
         self.reps = {}
-        self.stats = {"computed": 0, "cache_hits": 0, "splits_skipped": 0}
+        self.stats = {"computed": 0, "cache_hits": 0, "splits_skipped": 0,
+                      "transported": 0}
+        self._conjugators = None    # [(omega, omega^-1)], see orbit_least
 
     def realization_hash(self):
         return self.real.realization_hash() if self.real else "kl"
@@ -225,11 +249,54 @@ class PCanTable:
             self.entries[u] = out
             self.reps[u] = f_object(self.real, u)
             return out
-        expansion, top = self.expansion_via_word(u, reduced_word(u))
-        top.char_hint = expansion
+        u0, omega = self.orbit_least(u)
+        if u0 == u:
+            expansion, top = self.expansion_via_word(u, reduced_word(u))
+            top.char_hint = expansion
+        else:
+            self.ensure(u0)
+            top = transport(self.reps[u0], omega)
+            expansion = top.char_hint
+            _check_expansion(u, expansion)
+            self.stats["transported"] += 1
         self.entries[u] = expansion
         self.reps[u] = top
         return expansion
+
+    def orbit_least(self, u):
+        """(u0, omega) with u = omega u0 omega^-1 and u0 the least element
+        (by ExtWeylElt.sort_key) of u's orbit under conjugation by Omega.
+
+        The orbit is closed under conjugation by omega_elements(datum, 1);
+        omega is the first conjugator found on a walk that depends on u
+        alone, so u0 and omega do not depend on the order of ensure calls.
+        """
+        if self._conjugators is None:
+            # one conjugator per nontrivial permutation of S_aff: elements
+            # that permute S_aff alike (central ones fix it) act alike on W_aff
+            gens = [s.as_element
+                    for s in simple_reflections(self.datum, conj_search=False)]
+            seen = {tuple(gens)}
+            self._conjugators = []
+            for om in omega_elements(self.datum, 1):
+                inv = om.inverse()
+                action = tuple(om * s * inv for s in gens)
+                if action not in seen:
+                    seen.add(action)
+                    self._conjugators.append((om, inv))
+        conj = {u: wid(self.datum)}     # x -> c with x = c u c^-1
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for om, inv in self._conjugators:
+                    y = om * x * inv
+                    if y not in conj:
+                        conj[y] = om * conj[x]
+                        nxt.append(y)
+            frontier = nxt
+        u0 = min(conj, key=ExtWeylElt.sort_key)
+        return u0, conj[u0].inverse()
 
     def expansion_via_word(self, u, word):
         """Decompose rep(word prefix) * B_{last letter}; no caching of u.
@@ -278,14 +345,20 @@ class PCanTable:
                     f"summand with top label {z} does not match the stored "
                     f"representative at shift {shift}")
             expansion = expansion - self.entries[z].scale(LaurentPoly.v(-shift))
-        if expansion.coeff(u) != ONE:
-            raise IdentificationFailure(
-                f"expansion of {u} has top coefficient {expansion.coeff(u)}")
-        for z in expansion.support():
-            if not bruhat_leq(z, u):
-                raise IdentificationFailure(
-                    f"expansion of {u} is supported at {z} above it")
+        _check_expansion(u, expansion)
         return expansion, tops[0]
+
+
+def _check_expansion(u, expansion):
+    """Raise IdentificationFailure unless the expansion of u has top
+    coefficient 1 and support in the Bruhat interval below u."""
+    if expansion.coeff(u) != ONE:
+        raise IdentificationFailure(
+            f"expansion of {u} has top coefficient {expansion.coeff(u)}")
+    for z in expansion.support():
+        if not bruhat_leq(z, u):
+            raise IdentificationFailure(
+                f"expansion of {u} is supported at {z} above it")
 
 
 def _character_proves_indecomposable(ch, u):

@@ -389,31 +389,25 @@ def omega_elements(datum, bound=1):
 
 
 def _quotient_generators(datum):
-    """Generators of X/ZR as (lattice vector, order) with order=0 for free."""
-    # columns of R = simple roots; X = Z^rank.  Compute SNF with transforms:
-    # U A V = D, then X/col(A) is generated by the columns of U^{-1} with
-    # orders the diagonal entries.  We avoid carrying transforms by testing
-    # candidate standard vectors directly instead (rank <= 4 here).
+    """Generators of X/ZR as (lattice vector, order) with order=0 for free.
+
+    The standard basis vectors generate X; the order of [lam] is the least
+    k >= 1 with k*lam in ZR, the lcm of the denominators of lam's simple-root
+    coefficients.  Vectors outside QR, or of order above 60, count as free;
+    vectors of order 1 are skipped.
+    """
     gens = []
-    seen_group = {(0,) * datum.rank}
-    # order of [lam]: least k >= 1 with k*lam in ZR, or 0 if none <= cap
     cap = 60
     for i in range(datum.rank):
         lam = tuple(1 if j == i else 0 for j in range(datum.rank))
-        order = 0
-        for k in range(1, cap + 1):
-            if _in_root_lattice(datum, tuple(k * x for x in lam)):
-                order = k
-                break
+        sol = simple_root_coeffs(datum, lam)
+        order = 0 if sol is None else math.lcm(*(c.denominator for c in sol))
+        if order > cap:
+            order = 0
         if order == 1:
             continue
         gens.append((lam, order))
     return gens
-
-
-def _in_root_lattice(datum, lam):
-    sol = simple_root_coeffs(datum, lam)
-    return sol is not None and all(c.denominator == 1 for c in sol)
 
 
 # -- words, Bruhat order, enumeration ---------------------------------------

@@ -199,6 +199,8 @@ def test_cli_pkl(run_cli):
     assert r4.returncode == 0
     stats = json.loads(r4.stderr.strip().splitlines()[-1])
     assert stats["splits_skipped"] >= 1
+    # s1 s0 is s0 s1 conjugated by a length-zero element: no split either
+    assert stats["transported"] >= 1
     r3 = run_cli(["pkl", "--datum", "GL2", "--p", "2", "--w", "x9"])
     assert r3.returncode == 2
 
@@ -310,18 +312,33 @@ def _char_as_string(text):
     return json.dumps(doc)
 
 
+def _set(key, value):
+    def damage(text):
+        doc = json.loads(text)
+        doc[key] = value
+        return json.dumps(doc)
+    return damage
+
+
+def _entry_as_int(text):
+    doc = json.loads(text)
+    doc["entries"][sorted(doc["entries"])[-1]] = 5
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("damage", [
     _drop("datum"), _drop_simple, _drop("source"), _drop("entries"),
-    lambda text: text[:500], _char_as_string,
+    lambda text: text[:500], _char_as_string, _set("reps", []),
+    _entry_as_int, _set("datum", "GL2"),
 ], ids=["no-datum", "no-simple", "no-source", "no-entries", "truncated",
-        "char-string"])
+        "char-string", "reps-list", "entry-int", "datum-string"])
 def test_cli_damaged_cache_header_exits_5(gl2, damage, run_cli, tmp_path):
-    # a damaged header is a damaged cache (exit 5) for verify and gc alike,
-    # and gc leaves the file as it found it
+    # a damaged header is a damaged cache (exit 5) for verify, gc and
+    # inspect alike, and gc leaves the file as it found it
     path = tmp_path / "cache.json"
     _saved_gl2_table(gl2, path)
     damaged = damage(path.read_text())
-    for action in ("verify", "gc"):
+    for action in ("verify", "gc", "inspect"):
         path.write_text(damaged)
         r = run_cli(["cache", action, "--cache", str(path)])
         assert r.returncode == 5, (action, r.stderr)

@@ -469,3 +469,51 @@ def test_elements_over_equal_data_built_twice():
         s * t
     with pytest.raises(DatumMismatch):
         t * s
+
+
+# Generators of X/ZR and the length-zero elements of every bundled datum, as
+# computed by one Gauss-Jordan solve per k*lam for k = 1, ..., 60.
+OMEGA_PINS = {
+    "A1-adj": ([], ["e;0"], ["e;0"]),
+    "A1-sc": ([((1,), 2)], ["0;-1", "e;0"], ["0;-1", "e;0"]),
+    "A1xA1-sc": ([((1, 0), 2), ((0, 1), 2)],
+                 ["0.1;-1,-1", "0;-1,0", "1;0,-1", "e;0,0"],
+                 ["0.1;-1,-1", "0;-1,0", "1;0,-1", "e;0,0"]),
+    "A2-sc": ([((1, 0), 3), ((0, 1), 3)],
+              ["0.1;0,-1", "1.0;-1,0", "e;0,0"],
+              ["0.1;0,-1", "1.0;-1,0", "e;0,0"]),
+    "A3-sc": ([((1, 0, 0), 4), ((0, 1, 0), 2), ((0, 0, 1), 4)],
+              ["0.1.2;0,0,-1", "1.0.2.1;0,-1,0", "2.1.0;-1,0,0", "e;0,0,0"],
+              ["0.1.2;0,0,-1", "1.0.2.1;0,-1,0", "2.1.0;-1,0,0", "e;0,0,0"]),
+    "B2-sc": ([((0, 1), 2)], ["1.0.1;0,-1", "e;0,0"],
+              ["1.0.1;0,-1", "e;0,0"]),
+    "C3-sc": ([((1, 0, 0), 2), ((0, 0, 1), 2)],
+              ["0.1.2.1.0;-1,0,0", "e;0,0,0"],
+              ["0.1.2.1.0;-1,0,0", "e;0,0,0"]),
+    "G2-sc": ([], ["e;0,0"], ["e;0,0"]),
+    "GL2": ([((1, 0), 0), ((0, 1), 0)],
+            ["0;-1,0", "0;0,1", "e;-1,-1", "e;0,0", "e;1,1"],
+            ["0;-1,0", "0;-2,-1", "0;0,1", "0;1,2", "e;-1,-1", "e;-2,-2",
+             "e;0,0", "e;1,1", "e;2,2"]),
+    "GL3": ([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)],
+            ["0.1;-1,-1,0", "0.1;0,0,1", "1.0;-1,0,0", "1.0;0,1,1",
+             "e;-1,-1,-1", "e;0,0,0", "e;1,1,1"],
+            ["0.1;-1,-1,0", "0.1;-2,-2,-1", "0.1;0,0,1", "0.1;1,1,2",
+             "1.0;-1,0,0", "1.0;-2,-1,-1", "1.0;0,1,1", "1.0;1,2,2",
+             "e;-1,-1,-1", "e;-2,-2,-2", "e;0,0,0", "e;1,1,1", "e;2,2,2"]),
+}
+
+
+def test_omega_pins_cover_every_bundled_datum():
+    from affkl.rootdata import bundled_names
+
+    assert sorted(OMEGA_PINS) == bundled_names()
+
+
+@pytest.mark.parametrize("name", sorted(OMEGA_PINS))
+def test_quotient_generators_and_omega_elements_pinned(name):
+    d = build_root_datum(name)
+    gens, bound1, bound2 = OMEGA_PINS[name]
+    assert weyl._quotient_generators(d) == gens
+    assert [w.canonical_str() for w in omega_elements(d, 1)] == bound1
+    assert [w.canonical_str() for w in omega_elements(d, 2)] == bound2
