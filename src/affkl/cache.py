@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+from json.encoder import encode_basestring_ascii
 
 from .errors import CacheCorrupt, MalformedDatum
 from .serialize import (
@@ -24,6 +25,7 @@ def default_cache_path(datum, char, directory="affkl_cache"):
 
 
 def save_table(table, path):
+    rhash = table.realization_hash()
     doc = {
         "format": FORMAT_VERSION,
         "kind": "pcan-table",
@@ -31,11 +33,10 @@ def save_table(table, path):
         "datum_fingerprint": table.datum.fingerprint,
         "characteristic": table.char,
         "source": table.source,
-        "realization_hash": table.realization_hash(),
+        "realization_hash": rhash,
         "entries": {},
         "reps": {},
     }
-    rhash = table.realization_hash()
     for w in sorted(table.entries, key=ExtWeylElt.sort_key):
         doc["entries"][w.canonical_str()] = {
             "rhash": rhash,
@@ -51,16 +52,41 @@ def save_table(table, path):
 def _write_doc(path, doc):
     """Write doc as JSON to a temporary file beside path, then rename it over
     path, so a crash mid-write leaves the old document intact."""
+    text = _json_text(doc) + "\n"
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _json_text(x, indent="\n"):
+    """json.dumps(x, indent=1, sort_keys=True) for documents of dicts with
+    str keys, lists, strs, ints and None, without the pure-Python encoder
+    that the indent option selects.  Any other type raises TypeError."""
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    inner = indent + " "
+    if t is dict:
+        if any(type(k) is not str for k in x):
+            raise TypeError("keys must be str")
+        return "{" + inner + ("," + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_json_text(x[k], inner)}"
+             for k in sorted(x)]) + indent + "}" if x else "{}"
+    if t is list:
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in x]) + indent + "]" if x else "[]"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _read_doc(path, datum=None):
@@ -206,5 +232,7 @@ def gc(path):
     if doc["realization_hash"] != rhash:
         doc["reps"] = {}
         doc["realization_hash"] = rhash
-    _write_doc(path, doc)
+    # a value the format never holds (a float, a bool) is damage, too
+    with _parsing(path, "entries"):
+        _write_doc(path, doc)
     return {"dropped": before - len(doc["entries"]), "kept": len(doc["entries"])}

@@ -7,14 +7,15 @@ over GF(p); over Q ints, or Fractions where not integral).  Values are ints
 over GF(p) and ints or Fractions over Q; the `homs` assembly hands over
 integers, its equations cleared of denominators.  `kernel` sums the triplets
 into a dense matrix and is the only place that picks a backend per field:
-  * GF(p): numpy `kernel_mod_p` on an int64 matrix mod p; at p = 2 rows are
-    packed into bits and eliminated by XOR, odd p runs a row loop on int64
-    arrays;
+  * GF(p): `kernel_mod_p` on an int64 matrix mod p; at p = 2 rows are
+    packed into bits and eliminated by XOR, at odd p they become sparse
+    {column: residue} rows eliminated by insertion into a pivot table;
   * Q: multi-modular reconstruction (`kernel_rational`, on dense int rows;
-    a row holding Fractions is first scaled to ints): residue matrices come
-    from one sparse copy of the rows, and each reconstructed kernel vector is
-    cleared to ints and checked exactly, in int arithmetic on the sparse
-    rows, before it is returned (entries stay ints).
+    a row holding Fractions is first scaled to ints): one sparse copy of the
+    rows is reduced modulo each prime into the same sparse elimination, and
+    each reconstructed kernel vector is cleared to ints and checked exactly,
+    in int arithmetic on the sparse rows, before it is returned (entries
+    stay ints).
 `rank` and `solve` are read off `kernel`: the rank is ncols minus the kernel
 dimension.  `solve` takes several right-hand sides at once, as the columns
 after the first ncols, and reads each solution of A x = b_k off the kernel
@@ -32,14 +33,16 @@ polynomial ring.
 """
 
 import math
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 
 import numpy as np
 
 from .errors import SolverError
 from .fields import Rationals
 
-# the ten smallest primes from 2^29 - 3 up; (p - 1)^2 fits in int64
+# the ten smallest primes from 2^29 - 3 up; the sparse elimination
+# multiplies residues as Python ints, so no product meets int64
 _MODULAR_PRIMES = (536870909, 536870923, 536870951, 536871001, 536871017,
                    536871019, 536871029, 536871061, 536871089, 536871091)
 
@@ -98,7 +101,7 @@ def solve(rows, cols, vals, ncols, nrhs, field):
     return out
 
 
-# -- GF(p), numpy ------------------------------------------------------------
+# -- GF(p) -------------------------------------------------------------------
 
 
 def rref_mod_p(a, p):
@@ -109,39 +112,74 @@ def rref_mod_p(a, p):
     """
     if p == 2:
         return _rref_gf2(a)
-    return _rref_dense(a, p)
-
-
-def _rref_dense(a, p):
-    """Row loop on a copy of a as int64, for any prime p."""
     a = np.mod(a, p).astype(np.int64)
     nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = np.nonzero(a[r + 1:, c])[0]
-        if below.size:
-            rows = below + r + 1
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    # back substitution on the pivot rows only
-    for k in range(len(pivots) - 1, -1, -1):
-        c = pivots[k]
-        above = np.nonzero(a[:k, c])[0]
-        if above.size:
-            a[above] = (a[above] - np.outer(a[above, c], a[k])) % p
-    return a[:len(pivots)], pivots
+    nz_rows, nz_cols = np.nonzero(a)
+    cols, vals = nz_cols.tolist(), a[nz_rows, nz_cols].tolist()
+    ends = np.cumsum(np.bincount(nz_rows, minlength=nrows)).tolist()
+    pivots, table = _rref_sparse(
+        {tuple(zip(cols[s:e], vals[s:e])) for s, e in zip([0] + ends, ends)},
+        p)
+    red = np.zeros((len(pivots), ncols), dtype=np.int64)
+    for k, c in enumerate(pivots):
+        row = table[c]
+        red[k, c] = 1
+        red[k, list(row)] = list(row.values())
+    return red, pivots
+
+
+def _rref_sparse(rows, p):
+    """Elimination mod an odd prime p on sparse rows, each a tuple of
+    (column, residue) pairs with residues in [1, p).
+
+    Returns (pivots, table): the ascending pivot columns, and for each pivot
+    c its RREF row as {column: residue} over the free columns right of c
+    (the 1 at c left out).  As in _rref_gf2, zero and duplicate rows are
+    dropped, rows are inserted sparsest first into the table keyed by their
+    lowest column, each reduced against the pivot rows already there, and
+    back substitution runs from the highest pivot down.
+    """
+    rows = set(rows)
+    rows.discard(())
+    table = {}
+    for row in sorted(rows, key=len):
+        # the row's columns as a heap: reducing at column c only adds
+        # columns right of c, so they are visited in increasing order
+        heap = [c for c, _ in row]
+        heapify(heap)
+        row = dict(row)
+        while heap:
+            c = heappop(heap)
+            f = row.pop(c, 0)
+            if not f:
+                continue
+            other = table.get(c)
+            if other is None:
+                inv = pow(f, -1, p)
+                table[c] = {j: x * inv % p for j, x in row.items()}
+                break
+            for j, x in other.items():
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x % p
+                    heappush(heap, j)
+                elif y := (y - f * x) % p:
+                    row[j] = y
+                else:
+                    del row[j]
+    pivots = sorted(table)
+    for c in reversed(pivots):
+        row = table[c]
+        # the rows of higher pivots are reduced already, so this removes
+        # every pivot column of row at once and adds none
+        for j in [j for j in row if j in table]:
+            f = row.pop(j)
+            for k, x in table[j].items():
+                if y := (row.get(k, 0) - f * x) % p:
+                    row[k] = y
+                else:
+                    del row[k]
+    return pivots, table
 
 
 def _rref_gf2(a):
@@ -234,7 +272,8 @@ def solve_mod_p(a, b, p):
 
 
 def _rational_reconstruct(r, m):
-    """Unique n/d with n^2, d^2 <= m/2 and n = r d (mod m), or None."""
+    """(n, d) for the unique n/d in lowest terms with d > 0, n^2, d^2 <= m/2
+    and n = r d (mod m), or None."""
     bound = math.isqrt(m // 2)
     a0, a1 = m, r % m
     x0, x1 = 0, 1
@@ -249,84 +288,83 @@ def _rational_reconstruct(r, m):
         n, d = -n, -d
     if math.gcd(abs(n), d) != 1:
         return None
-    return Fraction(n, d)
+    return n, d
 
 
 def kernel_rational(rows):
     """Kernel basis over Q of an integer matrix (list of int rows).
 
-    Multi-modular: each prime's residue matrix is built from one sparse copy
-    of the rows, the RREF kernel vectors are CRT-combined and rationally
-    reconstructed, cleared to integers, and every candidate is checked
-    exactly against every row in int arithmetic before it is returned.  Falls
-    back to Fraction elimination when reconstruction keeps failing.  Vectors
-    come back with int entries, the canonical form of an integral rational.
+    Multi-modular: one sparse copy of the rows is reduced modulo each prime
+    straight into the sparse elimination, the RREF kernel vectors are
+    CRT-combined and rationally reconstructed, cleared to integers, and every
+    candidate is checked exactly against every row in int arithmetic before
+    it is returned.  Falls back to Fraction elimination when reconstruction
+    keeps failing.  Vectors come back with int entries, the canonical form of
+    an integral rational.
     """
     if not rows:
         return []
     ncols = len(rows[0])
     # zero and duplicate rows do not change the row space
     sparse = list(dict.fromkeys(
-        tuple([(c, int(x)) for c, x in enumerate(row) if x]) for row in rows))
+        tuple(zip(compress(range(ncols), row), filter(None, row)))
+        for row in rows))
     if () in sparse:
         sparse.remove(())
-    row_idx = np.array([r for r, row in enumerate(sparse) for _ in row],
-                       dtype=np.intp)
-    col_idx = np.array([c for row in sparse for c, _ in row], dtype=np.intp)
-    vals = [x for row in sparse for _, x in row]
     used = []
     best = None
-    modulus = 1
     for p in _MODULAR_PRIMES:
-        a = np.zeros((len(sparse), ncols), dtype=np.int64)
-        a[row_idx, col_idx] = [x % p for x in vals]
-        r, pivots = rref_mod_p(a, p)
+        pivots, table = _rref_sparse(
+            (tuple([(c, r) for c, x in row if (r := x % p)]) for row in sparse),
+            p)
         # An unlucky prime loses rank or pushes pivots to later columns, so
         # the lucky pivot list is the longest and then lexicographically
         # smallest one seen; a better prime discards the residues so far.
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best = key
-            pivset = set(pivots)
-            free_cols = [c for c in range(ncols) if c not in pivset]
-            used = [(p, r)]
-            modulus = p
+            used = [(p, table)]
         elif key == best:
-            used.append((p, r))
-            modulus *= p
+            used.append((p, table))
         else:
             continue
-        basis = _reconstruct_kernel(used, ncols, pivots, free_cols)
+        basis = _reconstruct_kernel(used, ncols, pivots)
         if basis is not None and _verify_kernel(sparse, basis):
             return basis
-        if modulus > 2 ** 200:
+        if math.prod(q for q, _ in used) > 2 ** 200:
             break
     # fallback: exact Fraction elimination
     return _kernel_fraction([list(map(int, row)) for row in rows])
 
 
-def _reconstruct_kernel(used, ncols, pivots, free_cols):
-    """Integer kernel vectors, one per free column, from the RREFs of the
-    primes in `used` (all with the same pivots), or None if some entry has
-    no rational reconstruction."""
+def _reconstruct_kernel(used, ncols, pivots):
+    """Integer kernel vectors, one per free column, from the RREF tables of
+    the primes in `used` (all with the same pivots), or None if some entry
+    has no rational reconstruction."""
     modulus = math.prod(p for p, _ in used)
     # CRT: residue = sum of r_p * coef_p (mod modulus)
     coefs = [(modulus // p) * pow(modulus // p, -1, p) for p, _ in used]
-    # row k of each list: -(pivot row k) at the free columns, mod p
-    negs = [((-r[:, free_cols]) % p).tolist() for p, r in used]
+    pivset = set(pivots)
+    # free column f -> {pivot c: (n, d)}, the entry n/d of f's vector at c
+    fracs = {f: {} for f in range(ncols) if f not in pivset}
+    for c in pivots:
+        rows = [table[c] for _, table in used]
+        # entry (c, f) of the vector of free column f is -(pivot row c)[f]
+        for f in set().union(*rows):
+            residue = -sum(coef * row.get(f, 0)
+                           for coef, row in zip(coefs, rows)) % modulus
+            nd = _rational_reconstruct(residue, modulus)
+            if nd is None:
+                return None
+            fracs[f][c] = nd
     out = []
-    for j, f in enumerate(free_cols):
+    for f, col in fracs.items():
+        lcm = math.lcm(*(d for _, d in col.values()))
         vec = [0] * ncols
-        vec[f] = 1
-        for k, c in enumerate(pivots):
-            residue = sum(coef * neg[k][j]
-                          for coef, neg in zip(coefs, negs)) % modulus
-            if residue:
-                q = _rational_reconstruct(residue, modulus)
-                if q is None:
-                    return None
-                vec[c] = q
-        out.append(_clear_denominators(vec))
+        vec[f] = lcm
+        for c, (n, d) in col.items():
+            vec[c] = n * (lcm // d)
+        out.append(vec)
     return out
 
 

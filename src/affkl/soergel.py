@@ -235,6 +235,29 @@ class PCanTable:
         if u in self.entries:
             self.stats["cache_hits"] += 1
             return self.entries[u]
+        if self.source == "kl" or u.length == 0:
+            return self._compute(u)
+        u0, omega = self.orbit_least(u)
+        if u0 == u:
+            return self._compute(u)
+        # u0 is the least element of its own orbit: computed through its
+        # word with no second walk, while omega comes from u's walk
+        if u0 in self.entries:
+            self.stats["cache_hits"] += 1
+        else:
+            self._compute(u0)
+        self.stats["computed"] += 1
+        top = transport(self.reps[u0], omega)
+        expansion = top.char_hint
+        _check_expansion(u, expansion)
+        self.stats["transported"] += 1
+        self.entries[u] = expansion
+        self.reps[u] = top
+        return expansion
+
+    def _compute(self, u):
+        """Compute and store the expansion of u without an orbit walk: on
+        the bimodule route u is e or the least element of its orbit."""
         self.stats["computed"] += 1
         if self.source == "kl":
             from .hecke import canonical_basis
@@ -249,16 +272,8 @@ class PCanTable:
             self.entries[u] = out
             self.reps[u] = f_object(self.real, u)
             return out
-        u0, omega = self.orbit_least(u)
-        if u0 == u:
-            expansion, top = self.expansion_via_word(u, reduced_word(u))
-            top.char_hint = expansion
-        else:
-            self.ensure(u0)
-            top = transport(self.reps[u0], omega)
-            expansion = top.char_hint
-            _check_expansion(u, expansion)
-            self.stats["transported"] += 1
+        expansion, top = self.expansion_via_word(u, reduced_word(u))
+        top.char_hint = expansion
         self.entries[u] = expansion
         self.reps[u] = top
         return expansion

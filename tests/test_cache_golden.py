@@ -53,3 +53,44 @@ def test_saved_document_matches_golden(name, p, max_len, tmp_path):
     old_table = cachemod.load_table(str(old_path), datum=datum)
     for w, rep in table.reps.items():
         assert is_shifted_iso(rep, old_table.reps[w], 0), w.canonical_str()
+
+
+def _writer_docs(tmp_path):
+    for path in sorted(DATA.glob("cache_*.json")):
+        yield path.name, json.loads(path.read_text())
+    for name, p, max_len in (("GL2", 3, 4), ("A2-sc", 0, 3)):
+        datum = build_root_datum(name)
+        table = PCanTable(datum, p)
+        for u in enumerate_elements(datum, max_len):
+            table.ensure(u)
+        path = tmp_path / f"{name}_p{p}.json"
+        cachemod.save_table(table, str(path))
+        yield path.name, json.loads(path.read_text())
+
+
+def test_writer_matches_json_dumps(tmp_path):
+    for name, doc in _writer_docs(tmp_path):
+        assert (cachemod._json_text(doc)
+                == json.dumps(doc, indent=1, sort_keys=True)), name
+    odd = {"b": [None, -2 ** 70, "\u00e9\"\n\x01"], "a": {}, "c": [[]]}
+    assert cachemod._json_text(odd) == json.dumps(odd, indent=1,
+                                                  sort_keys=True)
+    for bad in (1.5, True, (1, 2), {1: 2}, {"a": [set()]}):
+        with pytest.raises(TypeError):
+            cachemod._json_text(bad)
+
+
+def test_gc_leaves_a_document_it_cannot_write(tmp_path):
+    table = PCanTable(build_root_datum("GL2"), 2)
+    for u in enumerate_elements(table.datum, 2):
+        table.ensure(u)
+    path = tmp_path / "cache.json"
+    cachemod.save_table(table, str(path))
+    doc = json.loads(path.read_text())
+    doc["entries"][sorted(doc["entries"])[0]]["coeffs"] = 1.5
+    path.write_text(json.dumps(doc))
+    damaged = path.read_bytes()
+    with pytest.raises(cachemod.CacheCorrupt):
+        cachemod.gc(str(path))
+    assert path.read_bytes() == damaged
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]

@@ -8,7 +8,7 @@ from affkl import linalg
 from affkl.fields import PrimeField, Rationals
 from affkl.linalg import (
     _MODULAR_PRIMES,
-    _rref_dense,
+    _kernel_fraction,
     independent_rows,
     kernel,
     kernel_field,
@@ -76,16 +76,27 @@ def _gf2_cases():
                 yield a.astype(np.int64)
 
 
+def _assert_rref_matches_field(a, p):
+    """rref_mod_p(a, p) equals the generic elimination over GF(p)."""
+    before = a.copy()
+    red, pivots = rref_mod_p(a, p)
+    ref, ref_pivots = rref_field((a % p).tolist(), PrimeField(p))
+    assert np.array_equal(a, before)
+    assert pivots == ref_pivots
+    assert red.shape == (len(pivots), a.shape[1])
+    assert red.dtype == np.int64
+    assert red.tolist() == ref
+
+
 def test_rref_mod_2_matches_dense_loop():
     for a in _gf2_cases():
-        before = a.copy()
-        red, pivots = rref_mod_p(a, 2)
-        ref, ref_pivots = _rref_dense(a, 2)
-        assert np.array_equal(a, before)
-        assert pivots == ref_pivots
-        assert red.shape == ref.shape == (len(pivots), a.shape[1])
-        assert red.dtype == ref.dtype == np.int64
-        assert np.array_equal(red, ref)
+        _assert_rref_matches_field(a, 2)
+
+
+def test_rref_mod_odd_p_matches_dense_loop():
+    for p in (3, 5, 7, _MODULAR_PRIMES[0]):
+        for a in _gf2_cases():
+            _assert_rref_matches_field(a, p)
 
 
 def test_kernel_rank_solve_mod_2():
@@ -141,9 +152,24 @@ def test_kernel_rational_matches_fraction():
             for row in a:
                 assert sum(Fraction(x) * y for x, y in zip(row, v)) == 0
         # dimension check against exact elimination
-        from affkl.linalg import _kernel_fraction
-
         assert len(basis) == len(_kernel_fraction(a))
+
+
+def test_kernel_rational_equals_fraction_elimination():
+    """The same vectors as exact Fraction elimination, on matrices with zero
+    rows, duplicate rows and entries beyond int64."""
+    rng = random.Random(5)
+    for _ in range(60):
+        nrows = rng.randrange(1, 12)
+        ncols = rng.randrange(1, 12)
+        big = rng.choice([1, 2 ** 40, 2 ** 70])
+        a = [[rng.choice([0, 0, 0, rng.randrange(-9, 10),
+                          rng.randrange(-big, big + 1)])
+              for _ in range(ncols)] for _ in range(nrows)]
+        a[rng.randrange(nrows)] = [0] * ncols
+        a.append(list(a[rng.randrange(nrows)]))
+        a.append([-x for x in a[rng.randrange(nrows)]])
+        assert kernel_rational(a) == _kernel_fraction(a)
 
 
 def test_kernel_rational_beyond_int64():
@@ -155,7 +181,7 @@ def test_kernel_rational_beyond_int64():
     )
     for a in cases:
         basis = kernel_rational(a)
-        ref = [[Fraction(x) for x in v] for v in linalg._kernel_fraction(a)]
+        ref = [[Fraction(x) for x in v] for v in _kernel_fraction(a)]
         assert basis == ref
         for v in basis:
             for row in a:

@@ -88,25 +88,29 @@ def test_kl_route_tables_make_no_bimodule_or_linalg_calls():
 
 
 def test_split_reaches_the_layers_the_bimodule_workloads_expect():
-    # worker.EXPECTED needs homs and linalg calls on the bimodule workloads
+    # worker.EXPECTED needs homs and linalg calls on the bimodule workloads,
+    # and the linalg counters must see the odd-p and Q systems too
     from affkl import build_root_datum
     from affkl.bimodule import b_object, tensor
     from affkl.realization import build_realization
     from affkl.soergel import end0_split
     from affkl.weyl import simple_reflections
 
-    datum = build_root_datum("GL2")
-    real = build_realization(datum, 2)
-    s = simple_reflections(datum, conj_search=False)[0]
-    big = tensor(b_object(real, s), b_object(real, s))
     layers = _load_layers()
-    rec = layers.Recorder()
-    rec.install()
-    try:
-        pieces = end0_split(big)
-    finally:
-        rec.uninstall()
-    assert len(pieces) == 2
-    for name in ("homs.hom_space", "homs.solve_in_basis",
-                 "linalg.kernel_mod_p"):
-        assert rec.entry_calls[name], name
+    for name, p, kernel_entry in (("GL2", 2, "linalg.kernel_mod_p"),
+                                  ("GL2", 3, "linalg.kernel_mod_p"),
+                                  ("A2-sc", 0, "linalg.kernel_rational")):
+        datum = build_root_datum(name)
+        real = build_realization(datum, p)
+        s = simple_reflections(datum, conj_search=False)[0]
+        big = tensor(b_object(real, s), b_object(real, s))
+        rec = layers.Recorder()
+        rec.install()
+        try:
+            pieces = end0_split(big)
+        finally:
+            rec.uninstall()
+        assert len(pieces) == 2, name
+        for entry in ("homs.hom_space", "homs.solve_in_basis", kernel_entry):
+            assert rec.entry_calls[entry], (name, p, entry)
+        assert rec.counts["linalg.rows"] > 0, (name, p)

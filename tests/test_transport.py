@@ -100,6 +100,35 @@ def test_orbit_least_is_least_and_conjugates(gl2, a2):
                 assert table.orbit_least(v)[0] == u0
 
 
+class WalkLog(PCanTable):
+    """Records each orbit walk as (u, u0)."""
+
+    def orbit_least(self, u):
+        out = super().orbit_least(u)
+        self.walks.append((u, out[0]))
+        return out
+
+
+def test_one_orbit_walk_per_computed_element():
+    # longest first, so most orbits are entered through a non-least element
+    # whose least element is not stored yet
+    table = WalkLog(build_root_datum("GL3"), 2)
+    table.walks = []
+    for u in reversed(enumerate_elements(table.datum, 3)):
+        table.ensure(u)
+    assert table.stats["transported"] > 0
+    # a least element found by another element's walk is stored then, and
+    # is not walked again
+    found = set()
+    for u, u0 in table.walks:
+        assert u not in found, u
+        found.add(u0)
+    walked = [u for u, _ in table.walks]
+    assert len(set(walked)) == len(walked)
+    assert set(walked) | found == set(table.entries) - {wid(table.datum)}
+    assert table.stats["computed"] == len(table.entries)
+
+
 @pytest.mark.parametrize("name, p, max_len", [
     ("GL3", 2, 3), ("A2-sc", 0, 3), ("GL2", 3, 4)])
 def test_shuffled_ensure_orders_save_identical_documents(
