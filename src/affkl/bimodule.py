@@ -222,7 +222,8 @@ def transport(m, omega):
     tensor products.
 
     With omega^-1 . x_g = sum_h c_gh x_h, the action of x_g becomes
-    omega(sum_h c_gh act_h), entry by entry; each label w becomes
+    omega(sum_h c_gh act_h) = sum_h c_gh omega(act_h), with omega applied
+    once to each act_h, entry by entry; each label w becomes
     omega w omega^-1 with its vectors v mapped to omega(v), and the character
     is relabelled the same way.  Degrees and word length are unchanged.
     """
@@ -232,13 +233,14 @@ def transport(m, omega):
     ring = real.ring
     fmat = real.fin_action_matrix(omega)
     inv = omega.inverse()
+    moved = [[[ring.apply_linear(x, fmat) for x in row] for row in a]
+             for a in m.act]
     acts = []
     for g in range(real.dim):
-        terms = [(c, m.act[mu.index(1)])
+        terms = [(c, moved[mu.index(1)])
                  for mu, c in real.act_poly(inv, ring.gen(g)).items()]
-        acts.append([[ring.apply_linear(
-            ring.lincomb((c, a[k][i]) for c, a in terms), fmat)
-            for i in range(m.rank)] for k in range(m.rank)])
+        acts.append([[ring.lincomb((c, a[k][i]) for c, a in terms)
+                      for i in range(m.rank)] for k in range(m.rank)])
     labels = tuple(
         (omega * w * inv,
          tuple(tuple(ring.apply_linear(x, fmat) for x in v) for v in vecs))

@@ -5,7 +5,6 @@ import hashlib
 import json
 import os
 import random
-from json.encoder import encode_basestring_ascii
 
 from .errors import CacheCorrupt, MalformedDatum
 from .serialize import (
@@ -13,6 +12,7 @@ from .serialize import (
     bimodule_to_json,
     element_from_str,
     hecke_from_json,
+    json_text,
 )
 from .soergel import PCanTable, is_shifted_iso
 from .weyl import ExtWeylElt
@@ -52,7 +52,7 @@ def save_table(table, path):
 def _write_doc(path, doc):
     """Write doc as JSON to a temporary file beside path, then rename it over
     path, so a crash mid-write leaves the old document intact."""
-    text = _json_text(doc) + "\n"
+    text = json_text(doc) + "\n"
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -63,30 +63,6 @@ def _write_doc(path, doc):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def _json_text(x, indent="\n"):
-    """json.dumps(x, indent=1, sort_keys=True) for documents of dicts with
-    str keys, lists, strs, ints and None, without the pure-Python encoder
-    that the indent option selects.  Any other type raises TypeError."""
-    t = type(x)
-    if t is str:
-        return encode_basestring_ascii(x)
-    if t is int:
-        return int.__repr__(x)
-    if x is None:
-        return "null"
-    inner = indent + " "
-    if t is dict:
-        if any(type(k) is not str for k in x):
-            raise TypeError("keys must be str")
-        return "{" + inner + ("," + inner).join(
-            [f"{encode_basestring_ascii(k)}: {_json_text(x[k], inner)}"
-             for k in sorted(x)]) + indent + "}" if x else "{}"
-    if t is list:
-        return "[" + inner + ("," + inner).join(
-            [_json_text(v, inner) for v in x]) + indent + "]" if x else "[]"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _read_doc(path, datum=None):

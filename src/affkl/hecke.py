@@ -6,7 +6,7 @@ H_omega * H_x = H_{omega x}.
 """
 
 from .errors import DatumMismatch
-from .laurent import LaurentPoly, ONE, V
+from .laurent import LaurentPoly, ONE, ZERO
 from .weyl import (
     ExtWeylElt,
     bruhat_leq,
@@ -17,8 +17,6 @@ from .weyl import (
     wid,
 )
 
-_VINV = LaurentPoly.v(-1)
-_VINV_MINUS_V = LaurentPoly({-1: 1, 1: -1})
 _V_MINUS_VINV = LaurentPoly({1: 1, -1: -1})
 
 
@@ -46,7 +44,7 @@ class HeckeElt:
         return bool(self.terms)
 
     def coeff(self, w):
-        return self.terms.get(w, LaurentPoly())
+        return self.terms.get(w, ZERO)
 
     def support(self):
         return set(self.terms)
@@ -55,14 +53,14 @@ class HeckeElt:
         _check(self, other)
         out = dict(self.terms)
         for w, p in other.terms.items():
-            out[w] = out.get(w, LaurentPoly()) + p
+            out[w] = out.get(w, ZERO) + p
         return HeckeElt(self.datum, out)
 
     def __sub__(self, other):
         _check(self, other)
         out = dict(self.terms)
         for w, p in other.terms.items():
-            out[w] = out.get(w, LaurentPoly()) - p
+            out[w] = out.get(w, ZERO) - p
         return HeckeElt(self.datum, out)
 
     def __neg__(self):
@@ -119,12 +117,11 @@ def unit(datum, w=None, poly=None):
 def _mult_by_simple(a, s):
     """a * H_s for a simple reflection s."""
     out = {}
-    se = s.as_element
     for x, p in a.terms.items():
-        xs = x * se
-        out[xs] = out.get(xs, LaurentPoly()) + p
+        xs = x.rmul(s)
+        out[xs] = out.get(xs, ZERO) + p
         if is_right_descent(x, s):
-            out[x] = out.get(x, LaurentPoly()) + p * _VINV_MINUS_V
+            out[x] = out.get(x, ZERO) + p.shift(-1) - p.shift(1)
     return HeckeElt(a.datum, out)
 
 
@@ -146,7 +143,7 @@ def mult(a, b):
     out = {}
     for w, p in b.terms.items():
         for x, q in _mult_by_elt(a, w).terms.items():
-            out[x] = out.get(x, LaurentPoly()) + q * p
+            out[x] = out.get(x, ZERO) + q * p
     return HeckeElt(a.datum, out)
 
 
@@ -162,12 +159,11 @@ def _bs_times(s, b):
     with the v H_x of b_s, x gets v^{-1} p on a left descent and v p off one.
     """
     out = {}
-    se = s.as_element
     for x, p in b.terms.items():
-        sx = se * x
-        out[sx] = out.get(sx, LaurentPoly()) + p
-        q = p * (_VINV if is_right_descent(x.inverse(), s) else V)
-        out[x] = out.get(x, LaurentPoly()) + q
+        sx = x.lmul(s)
+        out[sx] = out.get(sx, ZERO) + p
+        q = p.shift(-1 if x.left_descents()[s.index] else 1)
+        out[x] = out.get(x, ZERO) + q
     return HeckeElt(b.datum, out)
 
 
@@ -208,7 +204,7 @@ def canonical_basis(w):
     refls = simple_reflections(datum, conj_search=False)
     word = reduced_word(u)
     s = refls[word[0]]
-    uprime = s.as_element * u
+    uprime = u.lmul(s)
     b_uprime = canonical_basis(uprime)
     out = _bs_times(s, b_uprime)
     # subtract mu(z, u') b_z for z with sz < z in place, dropping zero terms
@@ -216,9 +212,9 @@ def canonical_basis(w):
         if z == u:
             continue
         mu = b_uprime.coeff(z).coeff(1)
-        if mu and is_right_descent(z.inverse(), s):
+        if mu and z.left_descents()[s.index]:
             for y, p in canonical_basis(z).terms.items():
-                q = out.terms.get(y, LaurentPoly()) - p * mu
+                q = out.terms.get(y, ZERO) - p * mu
                 if q:
                     out.terms[y] = q
                 else:

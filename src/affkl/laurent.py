@@ -64,6 +64,12 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def shift(self, k):
+        """self * v^k."""
+        out = LaurentPoly()
+        out.coeffs = {e + k: c for e, c in self.coeffs.items()}
+        return out
+
     def bar(self):
         """v -> v^{-1}."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})

@@ -22,7 +22,7 @@ class PolyRing:
         self.nvars = nvars
         self.zero = {}
         self.one = {(0,) * nvars: field.one}
-        self._powers = {}       # substitution matrix -> per variable {e: image^e}
+        self._images = {}       # substitution matrix -> {monomial: image}
         self._mono_str = {}     # monomial -> its "x0^2*x1" text
 
     # -- construction -----------------------------------------------------
@@ -132,28 +132,23 @@ class PolyRing:
 
     def apply_linear(self, f, mat):
         """Substitute x_i -> sum_j mat[j][i] x_j (mat over the field, a tuple
-        of tuples: the powers of its images stay on the ring for reuse)."""
-        powers = self._powers.get(mat)
-        if powers is None:
-            powers = self._powers[mat] = [
-                {1: self.linear([row[i] for row in mat])}
-                for i in range(self.nvars)]
-        terms = []
-        for m, c in f.items():
-            term = self.one
-            for i, e in enumerate(m):
-                if e:
-                    cache = powers[i]
-                    if e not in cache:
-                        prev = max(k for k in cache if k < e)
-                        cur = cache[prev]
-                        for _ in range(e - prev):
-                            cur = self.mul(cur, cache[1])
-                        cache[e] = cur
-                    term = (cache[e] if term is self.one
-                            else self.mul(term, cache[e]))
-            terms.append((c, term))
-        return self.lincomb(terms)
+        of tuples: the image of each monomial stays on the ring for reuse)."""
+        if not f:
+            return {}
+        images = self._images.get(mat)
+        if images is None:
+            images = self._images[mat] = {(0,) * self.nvars: self.one}
+        return self.lincomb((c, images.get(m) or self._image(m, images, mat))
+                            for m, c in f.items())
+
+    def _image(self, m, images, mat):
+        """The image of the monomial m, kept in images: that of m / x_i
+        times that of x_i, for the first variable x_i of m."""
+        i = next(i for i, e in enumerate(m) if e)
+        lower = m[:i] + (m[i] - 1,) + m[i + 1:]
+        low = images.get(lower) or self._image(lower, images, mat)
+        images[m] = self.mul(low, self.linear([row[i] for row in mat]))
+        return images[m]
 
     def exact_div(self, f, g):
         """Quotient f / g, asserting exact division (lex long division)."""

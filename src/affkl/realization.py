@@ -49,14 +49,13 @@ class Realization:
         return total
 
     def fin_action_matrix(self, x):
-        """Matrix of the finite image of x acting on t (columns = images)."""
-        key = x.fin
-        if key not in self._act_cache:
-            self._act_cache[key] = tuple(
-                tuple(self.field.from_int(key[i][j]) for j in range(self.dim))
-                for i in range(self.dim)
-            )
-        return self._act_cache[key]
+        """Matrix of the finite image of x acting on t (columns = images),
+        kept by the number of x's finite part."""
+        mat = self._act_cache.get(x.fin_id)
+        if mat is None:
+            mat = self._act_cache[x.fin_id] = tuple(
+                tuple(self.field.from_int(c) for c in row) for row in x.fin)
+        return mat
 
     def act_poly(self, x, f):
         """Apply the finite image of x to a polynomial."""

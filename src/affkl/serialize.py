@@ -1,5 +1,7 @@
 """Canonical string forms and JSON helpers shared by the cache and the CLI."""
 
+from json.encoder import encode_basestring_ascii
+
 from .errors import MalformedDatum
 from .hecke import HeckeElt
 from .laurent import LaurentPoly
@@ -60,6 +62,35 @@ def bimodule_from_json(real, obj):
             if obj.get("char") is not None else None)
     return LabeledBimodule(real, tuple(obj["degrees"]), act, labels,
                            wordlen=obj["wordlen"], char_hint=hint)
+
+
+def json_text(x, indent=1):
+    """json.dumps(x, indent=indent, sort_keys=True) for documents of dicts
+    with str keys, lists, strs, ints and None, without the pure-Python
+    encoder that the indent option selects.  Any other type raises
+    TypeError."""
+    return _json_text(x, "\n", " " * indent)
+
+
+def _json_text(x, pad, step):
+    t = type(x)
+    if t is str:
+        return encode_basestring_ascii(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    inner = pad + step
+    if t is dict:
+        if any(type(k) is not str for k in x):
+            raise TypeError("keys must be str")
+        return "{" + inner + ("," + inner).join(
+            [f"{encode_basestring_ascii(k)}: {_json_text(x[k], inner, step)}"
+             for k in sorted(x)]) + pad + "}" if x else "{}"
+    if t is list:
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner, step) for v in x]) + pad + "]" if x else "[]"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def parse_reflection(datum, tok):

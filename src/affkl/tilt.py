@@ -6,11 +6,11 @@ of products of such multiplicities, and the parahoric/Whittaker variant is a
 signed sum over the right parabolic subgroup.
 """
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import NegativeMultiplicity, NotMinimalRep, SupportIncomplete
 from .hecke import signed_coset, signed_sum
+from .serialize import json_text
 from .soergel import p_canonical, p_kl
 from .weyl import finitary_data_over, is_min_double_coset_rep, longest_element
 
@@ -110,7 +110,7 @@ class MultTable:
         }
 
     def render_json(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json(), indent=2) + "\n"
 
     def render_csv(self):
         cols = list(self.col_order)

@@ -3,6 +3,17 @@
 Elements are stored as pairs (fin, trans) representing w * t(lambda), where
 fin is the action matrix of w on the character lattice X and trans = lambda.
 The group law is (w, l) * (y, m) = (wy, y^{-1}(l) + m).
+
+Elements are hash-consed.  One table per datum fingerprint lists W_f once
+and numbers each finite part with a small int, which indexes its inverse,
+its row of products with the other finite parts, the signs of its images of
+the positive roots and its lexicographically least word.  The table also
+holds the one element for each (finite part, translation): so
+ExtWeylElt(datum, fin, trans) returns that element, equality is identity,
+and the group law runs on ints.  What depends on one element alone is
+memoised in its slots: its inverse, length, (omega, u, word) factorisation,
+products s x and x s with the simple reflections, left descents and the walk
+that strips its least left descents.
 """
 
 import math
@@ -12,77 +23,96 @@ from operator import mul
 from .errors import (
     ConjDataNotFound,
     DatumMismatch,
+    DimensionMismatch,
     NotFinitary,
     NotInWaff,
     NotLengthZero,
     OmegaUnbounded,
 )
-from .matutil import identity, mat_inv_int, mat_mul, mat_vec
-from .rootdata import pairing, simple_root_coeffs
+from .matutil import identity, mat_mul, mat_vec
+from .rootdata import components, simple_root_coeffs
 
 
 class ExtWeylElt:
-    """Immutable element of W = W_f x| X over a fixed root datum."""
+    """Element of W = W_f x| X over a fixed root datum, with fin_id the
+    number of its finite part.  There is one object per element (see the
+    module docstring), so equality is identity."""
 
-    __slots__ = ("datum", "fin", "trans", "_hash", "_len", "_word", "_str")
+    __slots__ = ("datum", "fin", "trans", "_t", "fin_id", "_inv", "_len",
+                 "_factors", "_left", "_right", "_ldesc", "_walk", "_str")
 
-    def __init__(self, datum, fin, trans):
-        self.datum = datum
-        self.fin = fin
-        self.trans = tuple(trans)
-        self._hash = hash((datum.fingerprint, fin, self.trans))
-        self._len = self._word = self._str = None
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtWeylElt)
-            and (self.datum is other.datum
-                 or self.datum.fingerprint == other.datum.fingerprint)
-            and self.fin == other.fin
-            and self.trans == other.trans
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, datum, fin, trans):
+        t = _table(datum)
+        return t.get(t.number(fin), _lattice_vector(datum, trans))
 
     def __mul__(self, other):
-        if (self.datum is not other.datum
-                and self.datum.fingerprint != other.datum.fingerprint):
+        t = self._t
+        if other._t is not t:
             raise DatumMismatch("elements live over different data")
-        key = (self.fin, other.fin)
-        hit = _MUL_CACHE.get(key)
-        if hit is None:
-            hit = _MUL_CACHE[key] = (mat_mul(*key), _fin_inverse(other.fin))
-        fin, yinv = hit
+        row = t.prod[self.fin_id]
+        g = other.fin_id
+        k = row.get(g)
+        if k is None:
+            k = row[g] = t.number(mat_mul(self.fin, other.fin))
         lam = self.trans
-        return ExtWeylElt(self.datum, fin, tuple([
-            sum(map(mul, row, lam)) + m for row, m in zip(yinv, other.trans)]))
+        return t.get(k, tuple([sum(map(mul, r, lam)) + m
+                               for r, m in zip(t.invmat[g], other.trans)]))
 
     def inverse(self):
-        winv = _fin_inverse(self.fin)
-        return ExtWeylElt(
-            self.datum, winv,
-            tuple(-x for x in mat_vec(self.fin, self.trans)),
-        )
+        x = self._inv
+        if x is None:
+            t = self._t
+            x = t.get(t.inv[self.fin_id],
+                      tuple([-v for v in mat_vec(self.fin, self.trans)]))
+            self._inv, x._inv = x, self
+        return x
+
+    def lmul(self, s):
+        """s x for a simple reflection s, memoised on x and on s x."""
+        if self._left is None:
+            self._left = [None] * self._t.nrefl
+        y = self._left[s.index]
+        if y is None:
+            y = self._left[s.index] = s.as_element * self
+            if y._left is None:
+                y._left = [None] * self._t.nrefl
+            y._left[s.index] = self
+        return y
+
+    def rmul(self, s):
+        """x s for a simple reflection s, memoised on x and on x s."""
+        if self._right is None:
+            self._right = [None] * self._t.nrefl
+        y = self._right[s.index]
+        if y is None:
+            y = self._right[s.index] = self * s.as_element
+            if y._right is None:
+                y._right = [None] * self._t.nrefl
+            y._right[s.index] = self
+        return y
+
+    def left_descents(self):
+        """Whether l(s x) < l(x), for each s in S_aff by index: the right
+        descents of x^{-1}."""
+        if self._ldesc is None:
+            inv = self.inverse()
+            self._ldesc = tuple([
+                is_right_descent(inv, s)
+                for s in simple_reflections(self.datum, conj_search=False)])
+        return self._ldesc
 
     def is_identity(self):
-        return self.trans == (0,) * self.datum.rank and self.fin == identity(self.datum.rank)
+        return self is self._t.identity
 
     @property
     def length(self):
         if self._len is None:
-            self._len = length(self)
+            return length(self)
         return self._len
 
     def fin_word(self):
         """Lexicographically least reduced word of the finite part, in S_f."""
-        if self._word is None:
-            key = (self.datum.fingerprint, self.fin)
-            word = _WORD_CACHE.get(key)
-            if word is None:
-                word = _WORD_CACHE[key] = _lex_least_word(self.datum, self.fin)
-            self._word = word
-        return self._word
+        return self._t.words[self.fin_id]
 
     def canonical_str(self):
         if self._str is None:
@@ -99,32 +129,135 @@ class ExtWeylElt:
         return f"ExtWeylElt({self.canonical_str()})"
 
 
-_INV_CACHE = {}
-# (w, y) -> (w y, y^{-1}) for finite parts; a matrix product does not depend
-# on the datum, and finite parts range over W_f, so this stays small
-_MUL_CACHE = {}
-# (datum fingerprint, w) -> lexicographically least word of w; the word
-# depends on the simple roots, so the key needs the datum
-_WORD_CACHE = {}
+# datum fingerprint -> _Table: data with one fingerprint share their elements
+_TABLES = {}
 
 
-def _fin_inverse(mat):
-    # Weyl group matrices have finite order; inverse is an integer matrix.
-    inv = _INV_CACHE.get(mat)
-    if inv is None:
-        inv = mat_inv_int(mat)
-        _INV_CACHE[mat] = inv
-        _INV_CACHE[inv] = mat
-    return inv
+def _table(datum):
+    t = _TABLES.get(datum.fingerprint)
+    if t is None:
+        t = _TABLES[datum.fingerprint] = _Table(datum)
+    return t
+
+
+class _Table:
+    """The numbered finite parts and the elements of one datum."""
+
+    def __init__(self, datum):
+        self.datum = datum
+        pos = datum.positive_roots
+        place = {alpha: k for k, (alpha, _) in enumerate(pos)}
+        self.poscov = tuple(cov for _, cov in pos)
+        # per simple reflection, by index: the coroot its descent test pairs
+        # with, the place of its root among the positive roots, and whether
+        # it is affine (see is_right_descent)
+        self.tests = tuple(
+            [(datum.coroot_of(a), place[a], False) for a in datum.simple_roots]
+            + [(datum.coroot_of(beta), place[beta], True)
+               for _, _, beta in components(datum)])
+        self.nrefl = len(self.tests)
+        self.refls = {}     # conj_search -> simple_reflections(datum, ...)
+        # per finite part: its matrix, the number and the matrix of its
+        # inverse, whether it keeps each positive root positive, its least
+        # word, its products {number of y: number of w y} and its elements
+        # {translation: element}
+        self.mats, self.inv, self.invmat = [], [], []
+        self.signs, self.words, self.prod, self.elts = [], [], [], []
+        self.ids = {}
+        self._list_finite_group()
+        self.identity = self.get(0, (0,) * datum.rank)
+
+    def _list_finite_group(self):
+        """Number W_f one length layer at a time from the identity.  For w
+        of length l, the least i with l(s_i w) = l - 1 starts the least word
+        of w, and w = s_i v has inverse v^{-1} s_i."""
+        datum = self.datum
+        gens = [reflection_matrix(datum, a) for a in datum.simple_roots]
+        e = identity(datum.rank)
+        lengths, words, inverses = {e: 0}, {e: ()}, {e: e}
+        layer = [e]
+        while layer:
+            nxt = []
+            for m in layer:
+                for r in gens:
+                    y = mat_mul(r, m)
+                    if y not in lengths:
+                        lengths[y] = lengths[m] + 1
+                        nxt.append(y)
+            for y in nxt:
+                i, v = next((i, v) for i, v in enumerate(
+                    mat_mul(r, y) for r in gens)
+                    if lengths.get(v) == lengths[y] - 1)
+                words[y] = (i,) + words[v]
+                inverses[y] = mat_mul(inverses[v], gens[i])
+            layer = nxt
+        for m in lengths:
+            self._add(m, tuple(datum.is_positive_root(mat_vec(m, alpha))
+                               for alpha, _ in datum.positive_roots), words[m])
+        self.invmat = [inverses[m] for m in self.mats]
+        self.inv = [self.ids[m] for m in self.invmat]
+
+    def _add(self, mat, signs, word):
+        f = self.ids[mat] = len(self.mats)
+        self.mats.append(mat)
+        self.signs.append(signs)
+        self.words.append(word)
+        self.prod.append({})
+        self.elts.append({})
+        return f
+
+    def number(self, fin):
+        """The number of a finite part.  A matrix outside W_f gets one too,
+        so that its elements exist and compare unequal to the others, but
+        reading its inverse, signs or word raises NotInWaff."""
+        f = self.ids.get(fin)
+        if f is None:
+            outside = _OutsideWf(fin)
+            f = self._add(fin, outside, outside)
+            self.inv.append(outside)
+            self.invmat.append(outside)
+        return f
+
+    def get(self, f, trans):
+        """The element with finite part number f and translation trans."""
+        bucket = self.elts[f]
+        x = bucket.get(trans)
+        if x is None:
+            x = bucket[trans] = object.__new__(ExtWeylElt)
+            x.datum, x.fin, x.trans, x._t, x.fin_id = (
+                self.datum, self.mats[f], trans, self, f)
+            x._inv = x._len = x._factors = x._str = None
+            x._left = x._right = x._ldesc = x._walk = None
+        return x
+
+
+class _OutsideWf:
+    """The inverse, signs and word of a matrix outside W_f: any use raises."""
+
+    def __init__(self, fin):
+        self.fin = fin
+
+    def _raise(self, *args):
+        raise NotInWaff(f"{self.fin} is not the matrix of an element of W_f")
+
+    __getitem__ = __iter__ = __index__ = _raise
 
 
 def wid(datum):
     """The identity element."""
-    return ExtWeylElt(datum, identity(datum.rank), (0,) * datum.rank)
+    return _table(datum).identity
 
 
 def translation(datum, lam):
-    return ExtWeylElt(datum, identity(datum.rank), tuple(lam))
+    return _table(datum).get(0, _lattice_vector(datum, lam))
+
+
+def _lattice_vector(datum, lam):
+    lam = tuple(lam)
+    if len(lam) != datum.rank:
+        raise DimensionMismatch(
+            f"expected a vector of length {datum.rank}, got {len(lam)}")
+    return lam
 
 
 def reflection_matrix(datum, root):
@@ -137,56 +270,21 @@ def reflection_matrix(datum, root):
     )
 
 
-def _lex_least_word(datum, fin):
-    word = []
-    mat = fin
-    simples = datum.simple_roots
-    guard = 0
-    while mat != identity(datum.rank):
-        guard += 1
-        if guard > 10000:
-            raise NotInWaff("finite part does not terminate; not a Weyl matrix?")
-        # left descent: smallest i with w^{-1}(alpha_i) negative
-        inv = _fin_inverse(mat)
-        for i, a in enumerate(simples):
-            img = mat_vec(inv, a)
-            if not datum.is_positive_root(tuple(img)):
-                word.append(i)
-                mat = mat_mul(reflection_matrix(datum, a), mat)
-                break
-        else:
-            raise NotInWaff("matrix has no descent but is not the identity")
-    return tuple(word)
-
-
 # -- length ----------------------------------------------------------------
 
 
 def length(x):
-    """Length of w * t(lambda), summed over positive roots."""
-    datum = x.datum
-    signs = _positive_images(x)
-    total = 0
-    for alpha, cov in datum.positive_roots:
-        n = pairing(datum, x.trans, cov)
-        total += abs(n) if signs[alpha] else abs(n + 1)
-    return total
-
-
-# (datum fingerprint, w) -> {alpha: whether w(alpha) > 0} over the positive
-# roots; positivity is read in the simple roots, so the key needs the datum
-_SIGN_CACHE = {}
-
-
-def _positive_images(x):
-    datum = x.datum
-    key = (datum.fingerprint, x.fin)
-    signs = _SIGN_CACHE.get(key)
-    if signs is None:
-        signs = _SIGN_CACHE[key] = {
-            alpha: datum.is_positive_root(tuple(mat_vec(x.fin, alpha)))
-            for alpha, _ in datum.positive_roots}
-    return signs
+    """Length of w * t(lambda), summed over the positive roots alpha:
+    |<lambda, alpha^vee>| if w(alpha) > 0, else |<lambda, alpha^vee> + 1|."""
+    if x._len is None:
+        t = x._t
+        lam = x.trans
+        total = 0
+        for cov, positive in zip(t.poscov, t.signs[x.fin_id]):
+            n = sum(map(mul, lam, cov))
+            total += abs(n) if positive else abs(n + 1)
+        x._len = total
+    return x._len
 
 
 def is_right_descent(x, s):
@@ -197,17 +295,12 @@ def is_right_descent(x, s):
     reflection of a component with maximal short root beta iff
     n = <lam, beta^vee> < -1, or n = -1 and w(beta) > 0.
     """
-    datum = x.datum
-    if s.kind == "finite":
-        root = datum.roots[datum.simple_indices[s.root_index]]
-        n = pairing(datum, x.trans, datum.coroot_of(root))
-        if n:
-            return n > 0
-        return not _positive_images(x)[root]
-    n = pairing(datum, x.trans, datum.coroot_of(s.beta))
-    if n != -1:
-        return n < -1
-    return _positive_images(x)[s.beta]
+    t = x._t
+    cov, k, affine = t.tests[s.index]
+    n = sum(map(mul, x.trans, cov))
+    if affine:
+        return n < -1 if n != -1 else t.signs[x.fin_id][k]
+    return n > 0 if n else not t.signs[x.fin_id][k]
 
 
 # -- simple reflections ----------------------------------------------------
@@ -227,16 +320,11 @@ class SimpleReflection:
         return f"s{self.index}"
 
 
-_SREF_CACHE = {}
-
-
 def simple_reflections(datum, conj_search=True):
     """S_f followed by one affine reflection per irreducible component."""
-    key = (datum.fingerprint, conj_search)
-    if key in _SREF_CACHE:
-        return _SREF_CACHE[key]
-    from .rootdata import components
-
+    memo = _table(datum).refls
+    if conj_search in memo:
+        return memo[conj_search]
     out = []
     for i, a in enumerate(datum.simple_roots):
         elt = ExtWeylElt(datum, reflection_matrix(datum, a), (0,) * datum.rank)
@@ -255,7 +343,7 @@ def simple_reflections(datum, conj_search=True):
             s if s.kind == "finite" else _with_conj_data(datum, out, s)
             for s in out
         )
-    _SREF_CACHE[key] = out
+    memo[conj_search] = out
     return out
 
 
@@ -292,37 +380,32 @@ def _with_conj_data(datum, refls, s):
 # -- omega -----------------------------------------------------------------
 
 
-_FACTOR_CACHE = {}
-
-
 def _factor(x):
-    """(omega, u, word) with x = omega * u, l(omega) = 0 and u = s_word.
+    """(omega, u, word) with x = omega * u, l(omega) = 0 and u = s_word,
+    memoised on x.
 
     One right-descent walk, least index first; the right descents of
     omega * u are those of u, so word is the reduced word of u.
     """
-    hit = _FACTOR_CACHE.get(x)
-    if hit is not None:
-        return hit
-    datum = x.datum
-    refls = simple_reflections(datum, conj_search=False)
+    if x._factors is not None:
+        return x._factors
+    refls = simple_reflections(x.datum, conj_search=False)
     om = x
     suffix = []
     for _ in range(x.length):
         s = next((s for s in refls if is_right_descent(om, s)), None)
         if s is None:
             raise NotInWaff("element of positive length has no right descent")
-        om = om * s.as_element
+        om = om.rmul(s)
         suffix.append(s)
     om._len = 0
-    u = wid(datum)
+    u = x._t.identity
     for s in suffix:
-        u = s.as_element * u
+        u = u.lmul(s)
     u._len = len(suffix)
-    assert om * u == x
-    hit = (om, u, tuple(s.index for s in reversed(suffix)))
-    _FACTOR_CACHE[x] = hit
-    return hit
+    assert om * u is x
+    x._factors = (om, u, tuple(s.index for s in reversed(suffix)))
+    return x._factors
 
 
 def omega_factorize(x):
@@ -428,13 +511,13 @@ def element_from_word(datum, word, omega=None):
     refls = simple_reflections(datum, conj_search=False)
     x = omega if omega is not None else wid(datum)
     for i in word:
-        x = x * refls[i].as_element
+        x = x.rmul(refls[i])
     return x
 
 
 def bruhat_leq(x, y):
     """Closure order: equal Omega-parts and Coxeter Bruhat order on W_aff."""
-    if x.datum.fingerprint != y.datum.fingerprint:
+    if x._t is not y._t:
         raise DatumMismatch("elements live over different data")
     ox, ux = omega_factorize(x)
     oy, uy = omega_factorize(y)
@@ -445,18 +528,32 @@ def bruhat_leq(x, y):
 
 def _bruhat_waff(x, y):
     # Strip the least left descent s of y, and of x when it is one; x <= y is
-    # unchanged.  Left descents of y are right descents of y^{-1}.
-    refls = simple_reflections(x.datum, conj_search=False)
-    xinv, yinv = x.inverse(), y.inverse()
+    # unchanged.  The walk down from y is memoised on y for every x.
     lx, ly = x.length, y.length
+    walk = _strip_walk(y)
+    k = 0
     while lx < ly:
-        s = next(s for s in refls if is_right_descent(yinv, s))
-        yinv = yinv * s.as_element
+        s, y = walk[k]
+        k += 1
         ly -= 1
-        if is_right_descent(xinv, s):
-            xinv = xinv * s.as_element
+        if x.left_descents()[s.index]:
+            x = x.lmul(s)
             lx -= 1
-    return xinv == yinv
+    return x is y
+
+
+def _strip_walk(y):
+    """The pairs (s, y') down from y to length 0, each y' = s y'' stripping
+    the least left descent s of the element y'' before it; memoised on y."""
+    if y._walk is None:
+        refls = simple_reflections(y.datum, conj_search=False)
+        walk, cur = [], y
+        for _ in range(y.length):
+            s = refls[cur.left_descents().index(True)]
+            cur = cur.lmul(s)
+            walk.append((s, cur))
+        y._walk = tuple(walk)
+    return y._walk
 
 
 def enumerate_elements(datum, max_len, sector="waff_only", omegas=None):
@@ -476,7 +573,7 @@ def enumerate_elements(datum, max_len, sector="waff_only", omegas=None):
         for x in layer:
             for s in refls:
                 if not is_right_descent(x, s):
-                    y = x * s.as_element
+                    y = x.rmul(s)
                     y._len = step
                     nxt.add(y)
         seen |= nxt
@@ -515,7 +612,7 @@ def finitary_data_over(datum, K):
         nxt = set()
         for x in frontier:
             for s in K:
-                y = x * s.as_element
+                y = x.rmul(s)
                 if y not in elements:
                     elements.add(y)
                     nxt.add(y)

@@ -21,6 +21,7 @@ import pytest
 
 from affkl import build_root_datum
 from affkl import cache as cachemod
+from affkl.serialize import json_text
 from affkl.soergel import PCanTable, is_shifted_iso
 from affkl.weyl import enumerate_elements
 
@@ -70,14 +71,15 @@ def _writer_docs(tmp_path):
 
 def test_writer_matches_json_dumps(tmp_path):
     for name, doc in _writer_docs(tmp_path):
-        assert (cachemod._json_text(doc)
+        assert (json_text(doc)
                 == json.dumps(doc, indent=1, sort_keys=True)), name
     odd = {"b": [None, -2 ** 70, "\u00e9\"\n\x01"], "a": {}, "c": [[]]}
-    assert cachemod._json_text(odd) == json.dumps(odd, indent=1,
-                                                  sort_keys=True)
+    for indent in (1, 2):
+        assert json_text(odd, indent) == json.dumps(odd, indent=indent,
+                                                    sort_keys=True)
     for bad in (1.5, True, (1, 2), {1: 2}, {"a": [set()]}):
         with pytest.raises(TypeError):
-            cachemod._json_text(bad)
+            json_text(bad)
 
 
 def test_gc_leaves_a_document_it_cannot_write(tmp_path):

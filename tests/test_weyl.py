@@ -3,6 +3,7 @@ import pytest
 from affkl import build_root_datum, weyl
 from affkl.errors import (
     DatumMismatch,
+    DimensionMismatch,
     MalformedDatum,
     NotFinitary,
     NotInWaff,
@@ -193,6 +194,21 @@ def _subword_leq(datum, x, y):
     return False
 
 
+@pytest.mark.parametrize("name, max_len", [
+    ("GL2", 4), ("A2-sc", 4), ("B2-sc", 4), ("G2-sc", 4), ("GL3", 3)])
+def test_bruhat_matches_subword_oracle(name, max_len):
+    # pairs in shuffled order, so that the walk memoised on one y serves x
+    # after x, and the memos left by other y are read again
+    import random
+
+    datum = build_root_datum(name)
+    elems = enumerate_elements(datum, max_len)
+    pairs = [(x, y) for x in elems for y in elems]
+    random.Random(5).shuffle(pairs)
+    for x, y in pairs:
+        assert bruhat_leq(x, y) == _subword_leq(datum, x, y), (x, y)
+
+
 def test_bruhat_cross_sector(gl2):
     om = omega_factorize(translation(gl2, (1, 0)))[0]
     u = wid(gl2)
@@ -330,11 +346,14 @@ def test_factor_walk_matches_length_walk(name):
 
 
 def test_factor_memo_keys(gl2):
-    x = element_from_word(gl2, (1, 0, 1), omega=omega_elements(gl2)[0])
-    twin = ExtWeylElt(gl2, x.fin, x.trans)
-    assert twin is not x and twin == x
-    assert omega_factorize(twin) == omega_factorize(x)
-    assert weyl._factor(twin) is weyl._factor(x)
+    om0 = omega_elements(gl2)[0]
+    x = element_from_word(gl2, (1, 0, 1), omega=om0)
+    assert ExtWeylElt(gl2, x.fin, x.trans) is x
+    # the factorisation is memoised on x, and its parts are the elements
+    # themselves
+    assert weyl._factor(ExtWeylElt(gl2, x.fin, x.trans)) is weyl._factor(x)
+    om, u = omega_factorize(x)
+    assert om is om0 and u is element_from_word(gl2, (1, 0, 1))
     # t(1) has the same (fin, trans) over A1-sc and A1-adj, but it is
     # t(varpi) outside W_aff over A1-sc and t(alpha) of length 2 over A1-adj
     sc, adj = build_root_datum("A1-sc"), build_root_datum("A1-adj")
@@ -347,6 +366,60 @@ def test_factor_memo_keys(gl2):
         fp = x.datum.fingerprint
         assert om.datum.fingerprint == fp and u.datum.fingerprint == fp
         assert om * u == x
+
+
+def _formula_product(a, b):
+    # (w, l) * (y, m) = (w y, y^{-1}(l) + m), written out with matutil
+    lam = mat_vec(mat_inv_int(b.fin), a.trans)
+    return mat_mul(a.fin, b.fin), tuple(p + q for p, q in zip(lam, b.trans))
+
+
+def _formula_length(x):
+    d = x.datum
+    total = 0
+    for alpha, cov in d.positive_roots:
+        n = sum(a * b for a, b in zip(x.trans, cov))
+        positive = d.is_positive_root(tuple(mat_vec(x.fin, alpha)))
+        total += abs(n) if positive else abs(n + 1)
+    return total
+
+
+@pytest.mark.parametrize("name", REGISTRY)
+def test_one_object_per_element_and_its_memos(name):
+    d, twin = build_root_datum(name), build_root_datum(name)
+    assert d is not twin
+    refls = simple_reflections(d, conj_search=False)
+    pool = [om * u for om in omega_elements(d, bound=1)
+            for u in enumerate_elements(d, 4)]
+    for x in pool:
+        assert ExtWeylElt(d, x.fin, x.trans) is x
+        assert ExtWeylElt(twin, x.fin, list(x.trans)) is x
+        assert x.inverse().inverse() is x
+        # (w t(lam))^{-1} = t(-lam) w^{-1}
+        assert x.inverse() is ExtWeylElt(d, *_formula_product(
+            translation(d, [-c for c in x.trans]),
+            ExtWeylElt(d, mat_inv_int(x.fin), (0,) * d.rank)))
+        n = _formula_length(x)
+        assert x.length == n
+        for s in refls:
+            left = s.as_element
+            sx = ExtWeylElt(d, *_formula_product(left, x))
+            xs = ExtWeylElt(d, *_formula_product(x, left))
+            assert x.lmul(s) is sx and sx.lmul(s) is x
+            assert x.rmul(s) is xs and xs.rmul(s) is x
+            assert x.left_descents()[s.index] == (_formula_length(sx) < n)
+            assert is_right_descent(x, s) == (_formula_length(xs) < n)
+
+
+def test_translation_of_the_wrong_rank_is_rejected(gl2):
+    # the pairings zip a translation with the coroots, so a short one would
+    # give a wrong length instead of an error
+    e = wid(gl2)
+    for lam in ((1,), (1, 0, 0)):
+        with pytest.raises(DimensionMismatch):
+            translation(gl2, lam)
+        with pytest.raises(DimensionMismatch):
+            ExtWeylElt(gl2, e.fin, lam)
 
 
 def test_reduced_word_outside_waff(gl2):
@@ -400,23 +473,20 @@ def test_product_memo_stays_within_finite_group(monkeypatch):
     from affkl.soergel import PCanTable
     from affkl.tilt import mult_table
 
-    memo = {}
-    monkeypatch.setattr(weyl, "_MUL_CACHE", memo)
     monkeypatch.setattr(hecke, "_KL_CACHE", {})
-    total = 0
     for name, L, K in (("A2-sc", (0,), (1, 2)), ("B2-sc", (0,), (1,)),
                        ("G2-sc", (0,), (1,))):
         d = build_root_datum(name)
         refls = simple_reflections(d, conj_search=False)
-        before = set(memo)
+        table = weyl._table(d)
         mult_table([refls[i] for i in L], [refls[i] for i in K], 5,
                    PCanTable(d, 0, source="kl"))
         fins = {x.fin for x in _finite_group(d)}
-        new = set(memo) - before
-        assert new and all(a in fins and b in fins for a, b in new), name
-        assert len(new) <= len(fins) ** 2
-        total += len(fins) ** 2
-    assert len(memo) <= total
+        # the product memo: finite part numbers w -> {y: w y}
+        pairs = [(table.mats[w], table.mats[y], table.mats[wy])
+                 for w, row in enumerate(table.prod) for y, wy in row.items()]
+        assert pairs and all(m in fins for pair in pairs for m in pair), name
+        assert len(pairs) <= len(fins) ** 2
 
 
 def test_word_memo_keys():
