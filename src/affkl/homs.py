@@ -25,6 +25,7 @@ label vector x and null vector c), which leaves the row space unchanged.
 """
 
 import collections
+import functools
 import itertools
 import math
 
@@ -35,12 +36,15 @@ from .laurent import LaurentPoly
 from .linalg import kernel, rank, solve
 
 
+@functools.lru_cache(maxsize=None)
 def monomials_of_degree(nvars, deg):
-    """Exponent tuples with sum deg, in a fixed (sorted) order."""
+    """Exponent tuples with sum deg, in a fixed (sorted) order, as a tuple
+    shared by every caller."""
     if deg < 0:
-        return []
-    return sorted(tuple(combo.count(i) for i in range(nvars)) for combo in
-                  itertools.combinations_with_replacement(range(nvars), deg))
+        return ()
+    return tuple(sorted(
+        tuple(combo.count(i) for i in range(nvars)) for combo in
+        itertools.combinations_with_replacement(range(nvars), deg)))
 
 
 class SlotMap:
@@ -51,7 +55,7 @@ class SlotMap:
         self.ring = ring
         self.slots = []          # (i, j, monomial)
         self.index = {}
-        self.entry_monos = {}    # (i, j) -> list of monomials
+        self.entry_monos = {}    # (i, j) -> tuple of monomials
         for i, dn in enumerate(row_degrees):
             for j, dm in enumerate(col_degrees):
                 t = degree + dm - dn

@@ -19,8 +19,6 @@ length-zero elements act by diagram automorphisms that preserve the
 realization.
 """
 
-from collections import defaultdict
-
 from .bimodule import (
     LabeledBimodule,
     b_object,
@@ -32,7 +30,7 @@ from .bimodule import (
 from .errors import IdentificationFailure, SolverError
 from .fdalg import FDAlgebra
 from .hecke import omega_times, unit as hecke_unit
-from .homs import SlotMap, hom_space, solve_in_basis
+from .homs import SlotMap, hom_space
 from .laurent import LaurentPoly, ONE
 from .linalg import SpanSolver, independent_rows, rref_field
 from .realization import build_realization
@@ -92,15 +90,25 @@ def _label_key(s):
 
 
 def materialize_summand(m, emat):
-    """Image of an idempotent as a labeled bimodule on a minimal basis."""
+    """Image of an idempotent as a labeled bimodule on a minimal basis.
+
+    emat must be an idempotent degree-0 endomorphism of M.  The RREF of the
+    image of its scalar part e-bar gives scalar vectors w_l with pivots p_l,
+    and v_l = e . w_l freely generates the image (graded Nakayama).  As
+    e-bar is idempotent and block diagonal by degree, v_k[p_l] is delta_kl
+    unless deg v_k > deg v_l, so the coordinates of a vector t in the v_l
+    come from back substitution on the pivot rows, in decreasing degree:
+    y_l = t[p_l] - sum over deg v_k > deg v_l of v_k[p_l] y_k.  Then
+    sum_l v_l y_l = t is checked on every row; SolverError is raised when
+    the action or a label leaves the image, as for most non-idempotent emat.
+    """
     ring = m.real.ring
     fld = ring.field
     n = m.rank
     ebar = _scalar_part(ring, emat, m.degrees)
     # homogeneous basis of the image: row-reduce the columns
     cols = [[ebar[i][j] for i in range(n)] for j in range(n)]
-    basis_scalar, _ = rref_field(cols, fld)
-    w_vecs = [list(r) for r in basis_scalar]
+    w_vecs, pivots = rref_field(cols, fld)
     degrees = []
     for w in w_vecs:
         degs = {m.degrees[i] for i, c in enumerate(w) if not fld.is_zero(c)}
@@ -110,34 +118,41 @@ def materialize_summand(m, emat):
     # graded Nakayama lift: v_l = e . w_l freely generates the image
     vcols = [[ring.lincomb((c, emat[i][j]) for j, c in enumerate(w) if c)
               for i in range(n)] for w in w_vecs]
-    # the action images x_g . v_l and the label images e . x, expressed in
-    # the v_l with one solve per degree
-    images = defaultdict(list)     # degree -> [(key, vector over R)]
+    r = len(vcols)
+    rows = [[v[i] for v in vcols] for i in range(n)]
+    # back substitution: l in decreasing degree, each with the pairs
+    # (k, -v_k[p_l]) over the nonzero entries of higher degree
+    steps = [(l, [(k, ring.neg(vcols[k][pivots[l]])) for k in range(r)
+                  if degrees[k] > degrees[l] and vcols[k][pivots[l]]])
+             for l in sorted(range(r), key=lambda l: -degrees[l])]
+
+    def coords(t, failure):
+        """y with sum_l v_l y_l = t, or SolverError(failure)."""
+        y = [None] * r
+        for l, higher in steps:
+            y[l] = ring.dot([ring.one] + [c for _, c in higher],
+                            [t[pivots[l]]] + [y[k] for k, _ in higher])
+        if any(ring.dot(row, y) != ti for row, ti in zip(rows, t)):
+            raise SolverError(failure)
+        return y
+
+    # the action images x_g . v_l, in the v_l
+    acts = []
     for g in range(m.real.dim):
-        for l, v in enumerate(vcols):
-            images[degrees[l] + 2].append(
-                (("act", g, l), ring.mat_vec(m.act[g], v)))
-    for lw, (w, xs) in enumerate(m.labels):
-        for xi, x in enumerate(xs):
+        ys = [coords(ring.mat_vec(m.act[g], v),
+                     "right action does not restrict to the image")
+              for v in vcols]
+        acts.append([[ys[l][k] for l in range(r)] for k in range(r)])
+    # the label images e . x, in the v_l
+    labels = []
+    for w, xs in m.labels:
+        vecs = []
+        for x in xs:
             ex = ring.mat_vec(emat, x)
             if any(ex):
-                images[_module_degree(m, x)].append((("label", lw, xi), ex))
-    coords = {}
-    for deg, items in images.items():
-        sols = solve_in_basis(vcols, degrees, [v for _, v in items], deg, ring)
-        if sols is None:
-            acts = [v for key, v in items if key[0] == "act"]
-            if acts and solve_in_basis(vcols, degrees, acts, deg, ring) is None:
-                raise SolverError("right action does not restrict to the image")
-            raise SolverError("idempotent image of a label left the image")
-        coords.update(zip((key for key, _ in items), sols))
-    r = len(vcols)
-    acts = [[[coords["act", g, l][k] for l in range(r)] for k in range(r)]
-            for g in range(m.real.dim)]
-    labels = []
-    for lw, (w, xs) in enumerate(m.labels):
-        vecs = [tuple(coords["label", lw, xi]) for xi in range(len(xs))
-                if ("label", lw, xi) in coords]
+                _check_homogeneous(m, x)
+                vecs.append(tuple(coords(
+                    ex, "idempotent image of a label left the image")))
         vecs = independent_rows(vecs, ring)
         if vecs:
             labels.append((w, tuple(vecs)))
@@ -156,7 +171,7 @@ def _scalar_part(ring, mat, degrees):
 
 def _whole_summand(m):
     """M as its own indecomposable summand: what materialize_summand returns
-    for the identity idempotent, without the per-degree solves."""
+    for the identity idempotent, without the back substitution."""
     labels = []
     for w, xs in m.labels:
         vecs = independent_rows([x for x in xs if any(x)], m.real.ring)
@@ -166,7 +181,8 @@ def _whole_summand(m):
                            wordlen=m.wordlen, char_hint=None)
 
 
-def _module_degree(m, x):
+def _check_homogeneous(m, x):
+    """Raise SolverError unless the label vector x is homogeneous."""
     degs = set()
     ring = m.real.ring
     for i, entry in enumerate(x):
@@ -174,7 +190,6 @@ def _module_degree(m, x):
             degs.add(ring.degree(entry) + m.degrees[i])
     if len(degs) != 1:
         raise SolverError("label vector is not homogeneous")
-    return degs.pop()
 
 
 # -- summand identification ---------------------------------------------------
@@ -325,6 +340,14 @@ class PCanTable:
         if y.length != u.length - 1:
             raise ValueError("word does not end with a descent")
         self.ensure(y)
+
+        def failure(cls, stage, msg):
+            """cls(msg), naming u, its word and the stage that failed."""
+            words = " ".join(f"s{i}" for i in word)
+            return cls(f"{u.canonical_str()} (word {words}): {stage} of "
+                       f"rep(y)·B_s with y = {y.canonical_str()}, "
+                       f"s = s{s.index} failed: {msg}")
+
         big = tensor(self.reps[y], b_object(self.real, s))
         ch = character(big)
         if _character_proves_indecomposable(ch, u):
@@ -334,11 +357,7 @@ class PCanTable:
             try:
                 summands = [piece for _, piece in end0_split(big)]
             except SolverError as exc:
-                words = " ".join(f"s{i}" for i in word)
-                raise SolverError(
-                    f"{u.canonical_str()} (word {words}): End^0 split of "
-                    f"rep(y)·B_s with y = {y.canonical_str()}, s = s{s.index} "
-                    f"failed: {exc}") from exc
+                raise failure(SolverError, "End^0 split", exc) from exc
         tops = []
         lower = []
         for piece in summands:
@@ -347,18 +366,23 @@ class PCanTable:
             else:
                 lower.append(piece)
         if len(tops) != 1:
-            raise IdentificationFailure(
-                f"expected one top summand for {u}, found {len(tops)}")
+            raise failure(IdentificationFailure, "summand identification",
+                          f"expected one top summand, found {len(tops)}")
         expansion = ch
         for piece in lower:
-            z = _top_label(piece)
+            try:
+                z = _top_label(piece)
+            except IdentificationFailure as exc:
+                raise failure(IdentificationFailure, "summand identification",
+                              exc) from exc
             self.ensure(z)
             rep_z = self.reps[z]
             shift = min(rep_z.degrees) - min(piece.degrees)
             if not is_shifted_iso(piece, rep_z, shift):
-                raise IdentificationFailure(
-                    f"summand with top label {z} does not match the stored "
-                    f"representative at shift {shift}")
+                raise failure(
+                    IdentificationFailure, "summand identification",
+                    f"summand with top label {z.canonical_str()} does not "
+                    f"match the stored representative at shift {shift}")
             expansion = expansion - self.entries[z].scale(LaurentPoly.v(-shift))
         _check_expansion(u, expansion)
         return expansion, tops[0]

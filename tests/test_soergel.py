@@ -1,3 +1,4 @@
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,9 +7,10 @@ import pytest
 from affkl import build_root_datum, homs, soergel
 from affkl.bimodule import b_object, character, tensor
 from affkl.cache import load_table
-from affkl.errors import SolverError
+from affkl.errors import IdentificationFailure, SolverError
 from affkl.hecke import bar, canonical_basis, mult, unit
 from affkl.laurent import LaurentPoly, ONE
+from affkl.linalg import independent_rows, rref_field
 from affkl.realization import build_realization
 from affkl.serialize import parse_element_grammar
 from affkl.soergel import PCanTable, end0_split, is_shifted_iso, p_canonical, p_kl
@@ -171,6 +173,25 @@ def test_split_error_names_element_word_and_stage(gl2, monkeypatch):
     assert u not in table.entries
 
 
+def test_identification_error_names_element_word_and_stage(gl2, monkeypatch):
+    # rep(s0 s1 s0)·B_s1 at p=2 splits into three summands, so its lower
+    # summands go through is_shifted_iso
+    table = PCanTable(gl2, 2)
+    for y in enumerate_elements(gl2, 3):
+        table.ensure(y)
+    u = parse_element_grammar(gl2, "s0 s1 s0 s1")
+    assert table.orbit_least(u)[0] == u
+    monkeypatch.setattr(soergel, "is_shifted_iso", lambda s, t, shift: False)
+    with pytest.raises(IdentificationFailure) as err:
+        table.ensure(u)
+    msg = str(err.value)
+    words = " ".join(f"s{i}" for i in reduced_word(u))
+    assert f"{u.canonical_str()} (word {words})" in msg
+    assert "summand identification of rep(y)·B_s" in msg
+    assert "does not match the stored representative" in msg
+    assert u not in table.entries
+
+
 def _rep_times_bs(table, u):
     """M = rep(y)·B_s for the last letter s of u's reduced word, y = us."""
     s = simple_reflections(table.datum, conj_search=False)[reduced_word(u)[-1]]
@@ -267,17 +288,114 @@ def test_q_route_keeps_integral_rationals_as_ints(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(homs, "kernel", recording(homs.kernel))
-    monkeypatch.setattr(soergel, "solve_in_basis",
-                        recording(soergel.solve_in_basis))
+    monkeypatch.setattr(soergel, "materialize_summand",
+                        recording(soergel.materialize_summand))
     datum = build_root_datum("A2-sc")
     table = PCanTable(datum, 0)
     for u in sorted(enumerate_elements(datum, 3),
                     key=lambda w: (w.length, w.canonical_str())):
         table.ensure(u)
-    assert {name for name, _ in results} == {"kernel", "solve_in_basis"}
+    assert {name for name, _ in results} == {"kernel", "materialize_summand"}
     for name, out in results:
-        _assert_canonical_rationals(out or [], name)
+        if name == "materialize_summand":
+            _assert_canonical_rationals(out.act, (name, "act"))
+            _assert_canonical_rationals([v for _, v in out.labels],
+                                        (name, "labels"))
+        else:
+            _assert_canonical_rationals(out or [], name)
     _assert_canonical_reps(table)
     loaded = load_table(DATA / "cache_A2-sc_p0_len2.json")
     assert loaded.reps
     _assert_canonical_reps(loaded)
+
+
+def _per_degree_summand(m, emat):
+    """(degrees, act, labels) of the image of emat, every action and label
+    image expressed in v_l = e . w_l by one homs.solve_in_basis per degree."""
+    ring = m.real.ring
+    n = m.rank
+    ebar = soergel._scalar_part(ring, emat, m.degrees)
+    w_vecs, _ = rref_field([[ebar[i][j] for i in range(n)] for j in range(n)],
+                           ring.field)
+    degrees = [next(m.degrees[i] for i, c in enumerate(w) if c)
+               for w in w_vecs]
+    vcols = [[ring.lincomb((c, emat[i][j]) for j, c in enumerate(w) if c)
+              for i in range(n)] for w in w_vecs]
+    images = defaultdict(list)
+    for g in range(m.real.dim):
+        for l, v in enumerate(vcols):
+            images[degrees[l] + 2].append((("act", g, l),
+                                           ring.mat_vec(m.act[g], v)))
+    for lw, (_, xs) in enumerate(m.labels):
+        for xi, x in enumerate(xs):
+            ex = ring.mat_vec(emat, x)
+            if any(ex):
+                deg = next(ring.degree(e) + m.degrees[i]
+                           for i, e in enumerate(ex) if e)
+                images[deg].append((("label", lw, xi), ex))
+    coords = {}
+    for deg, items in images.items():
+        sols = homs.solve_in_basis(vcols, degrees, [v for _, v in items], deg,
+                                   ring)
+        assert sols is not None, deg
+        coords.update(zip((key for key, _ in items), sols))
+    r = len(vcols)
+    act = tuple([[coords["act", g, l][k] for l in range(r)] for k in range(r)]
+                for g in range(m.real.dim))
+    labels = []
+    for lw, (w, xs) in enumerate(m.labels):
+        vecs = independent_rows(
+            [tuple(coords["label", lw, xi]) for xi in range(len(xs))
+             if ("label", lw, xi) in coords], ring)
+        if vecs:
+            labels.append((w, tuple(vecs)))
+    return tuple(degrees), act, tuple(labels)
+
+
+@pytest.mark.parametrize("name, p, length", [
+    ("GL2", 2, 5), ("GL2", 3, 4), ("GL3", 2, 4), ("A2-sc", 0, 3),
+    ("B2-sc", 0, 3), ("G2-sc", 5, 3),
+])
+def test_back_substitution_matches_per_degree_solves(name, p, length,
+                                                    monkeypatch):
+    """Every summand of every End^0 split has the act and labels that the
+    per-degree solves of homs.solve_in_basis give."""
+    calls = []
+
+    def recording(m, emat):
+        out = materialize(m, emat)
+        calls.append((m, emat, out))
+        return out
+
+    materialize = soergel.materialize_summand
+    monkeypatch.setattr(soergel, "materialize_summand", recording)
+    datum = build_root_datum(name)
+    table = PCanTable(datum, p)
+    for u in sorted(enumerate_elements(datum, length),
+                    key=lambda w: (w.length, w.canonical_str())):
+        table.ensure(u)
+    assert calls
+    for m, emat, piece in calls:
+        assert (piece.degrees, piece.act, piece.labels) == \
+            _per_degree_summand(m, emat)
+
+
+@pytest.mark.parametrize("name, p, word", [
+    ("A2-sc", 0, "s1 s2 s1"), ("GL2", 3, "s1 s0 s1"),
+])
+def test_materialize_summand_rejects_a_non_idempotent(name, p, word):
+    datum = build_root_datum(name)
+    table = PCanTable(datum, p)
+    big = _rep_times_bs(table, parse_element_grammar(datum, word))
+    pieces = end0_split(big)
+    assert len(pieces) >= 2
+    ring = table.real.ring
+    two = ring.field.from_int(2)
+    (e1, _), (e2, _) = pieces[:2]
+    # 2 e1 and e1 + 2 e2 have the images of e1 and e1 + e2, but neither is
+    # idempotent
+    for emat in ([[ring.smul(two, x) for x in row] for row in e1],
+                 [[ring.add(x, ring.smul(two, y)) for x, y in zip(r1, r2)]
+                  for r1, r2 in zip(e1, e2)]):
+        with pytest.raises(SolverError):
+            soergel.materialize_summand(big, emat)
