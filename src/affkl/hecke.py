@@ -33,6 +33,14 @@ class HeckeElt:
                 if p:
                     self.terms[w] = p
 
+    @classmethod
+    def _of(cls, datum, terms):
+        """Trusted constructor: terms maps elements to nonzero LaurentPolys."""
+        out = object.__new__(cls)
+        out.datum = datum
+        out.terms = terms
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, HeckeElt)
@@ -114,15 +122,43 @@ def unit(datum, w=None, poly=None):
     return HeckeElt(datum, {w: poly if poly is not None else ONE})
 
 
+def _add(acc, x, c, k=0, m=1):
+    """acc[x] += m v^k c on an accumulator {element: {exponent: int}}.
+
+    The accumulator owns its dicts: the first write to x copies c, so c may
+    be the coefficient dict of a cached element."""
+    d = acc.get(x)
+    if d is None:
+        acc[x] = {e + k: m * a for e, a in c.items()}
+    else:
+        for e, a in c.items():
+            e += k
+            d[e] = d.get(e, 0) + m * a
+
+
+def _wrap(datum, acc):
+    """The HeckeElt of an accumulator, dropping zero coefficients and zero
+    terms; it takes over the accumulator's dicts."""
+    terms = {}
+    for x, c in acc.items():
+        if not all(c.values()):
+            c = {e: a for e, a in c.items() if a}
+            if not c:
+                continue
+        terms[x] = LaurentPoly._of(c)
+    return HeckeElt._of(datum, terms)
+
+
 def _mult_by_simple(a, s):
     """a * H_s for a simple reflection s."""
-    out = {}
+    acc = {}
     for x, p in a.terms.items():
-        xs = x.rmul(s)
-        out[xs] = out.get(xs, ZERO) + p
+        c = p.coeffs
+        _add(acc, x.rmul(s), c)
         if is_right_descent(x, s):
-            out[x] = out.get(x, ZERO) + p.shift(-1) - p.shift(1)
-    return HeckeElt(a.datum, out)
+            _add(acc, x, c, -1)
+            _add(acc, x, c, 1, -1)
+    return _wrap(a.datum, acc)
 
 
 def _mult_by_elt(a, w):
@@ -140,31 +176,45 @@ def _mult_by_elt(a, w):
 def mult(a, b):
     """Product in the Hecke algebra."""
     _check(a, b)
-    out = {}
+    acc = {}
     for w, p in b.terms.items():
-        for x, q in _mult_by_elt(a, w).terms.items():
-            out[x] = out.get(x, ZERO) + q * p
-    return HeckeElt(a.datum, out)
+        q = p.coeffs
+        for x, r in _mult_by_elt(a, w).terms.items():
+            d = acc.setdefault(x, {})
+            for e1, c1 in r.coeffs.items():
+                for e2, c2 in q.items():
+                    d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    return _wrap(a.datum, acc)
 
 
 def omega_times(om, a):
     """H_omega * a for length-zero omega: the relabel H_x -> H_{omega x}."""
-    return HeckeElt(a.datum, {om * x: p for x, p in a.terms.items()})
+    return HeckeElt._of(a.datum, {om * x: p for x, p in a.terms.items()})
 
 
 def _bs_times(s, b):
-    """b_s * b = (H_s + v) * b in one pass over the terms of b.
+    """b_s * b = (H_s + v) * b in one pass over the terms of b, as an
+    accumulator (see _add).
 
     H_s H_x = H_{sx}, plus (v^{-1} - v) H_x when s is a left descent of x;
-    with the v H_x of b_s, x gets v^{-1} p on a left descent and v p off one.
+    with the v H_x of b_s, x gets v^{-1} p_x + p_{sx} on a left descent and
+    v p_x + p_{sx} off one, and an sx outside the support of b gets p_x.
     """
-    out = {}
-    for x, p in b.terms.items():
+    terms = b.terms
+    acc = {}
+    i = s.index
+    for x, p in terms.items():
+        k = -1 if x.left_descents()[i] else 1
+        c = {e + k: a for e, a in p.coeffs.items()}
         sx = x.lmul(s)
-        out[sx] = out.get(sx, ZERO) + p
-        q = p.shift(-1 if x.left_descents()[s.index] else 1)
-        out[x] = out.get(x, ZERO) + q
-    return HeckeElt(b.datum, out)
+        q = terms.get(sx)
+        if q is None:
+            acc[sx] = dict(p.coeffs)
+        else:
+            for e, a in q.coeffs.items():
+                c[e] = c.get(e, 0) + a
+        acc[x] = c
+    return acc
 
 
 def bar(a):
@@ -202,23 +252,17 @@ def canonical_basis(w):
         _KL_CACHE[w] = out
         return out
     refls = simple_reflections(datum, conj_search=False)
-    word = reduced_word(u)
-    s = refls[word[0]]
-    uprime = u.lmul(s)
-    b_uprime = canonical_basis(uprime)
-    out = _bs_times(s, b_uprime)
-    # subtract mu(z, u') b_z for z with sz < z in place, dropping zero terms
-    for z in list(out.terms):
-        if z == u:
-            continue
-        mu = b_uprime.coeff(z).coeff(1)
+    s = refls[reduced_word(u)[0]]
+    b_uprime = canonical_basis(u.lmul(s))
+    acc = _bs_times(s, b_uprime)
+    # subtract mu(z, u') b_z for z with sz < z, mu the v-coefficient of
+    # h_{z,u'}: nonzero only on the support of b_{u'}
+    for z, p in b_uprime.terms.items():
+        mu = p.coeffs.get(1)
         if mu and z.left_descents()[s.index]:
-            for y, p in canonical_basis(z).terms.items():
-                q = out.terms.get(y, ZERO) - p * mu
-                if q:
-                    out.terms[y] = q
-                else:
-                    out.terms.pop(y, None)
+            for y, q in canonical_basis(z).terms.items():
+                _add(acc, y, q.coeffs, 0, -mu)
+    out = _wrap(datum, acc)
     _KL_CACHE[w] = out
     return out
 

@@ -2,7 +2,12 @@
 
 
 class LaurentPoly:
-    """Finitely supported map exponent -> integer coefficient."""
+    """Finitely supported map exponent -> integer coefficient.
+
+    Results of arithmetic are built by `_of`, which takes over an {int:
+    nonzero int} dict without a copy; no method mutates `coeffs`, so a
+    polynomial may share its dict with a cached one.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -12,6 +17,13 @@ class LaurentPoly:
             for e, c in coeffs.items():
                 if c:
                     self.coeffs[int(e)] = int(c)
+
+    @staticmethod
+    def _of(coeffs):
+        """Trusted constructor: coeffs maps ints to nonzero ints."""
+        out = object.__new__(LaurentPoly)
+        out.coeffs = coeffs
+        return out
 
     @staticmethod
     def const(c):
@@ -37,13 +49,17 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return LaurentPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -55,24 +71,25 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+            if not other:
+                return LaurentPoly()
+            return LaurentPoly._of(
+                {e: c * other for e, c in self.coeffs.items()})
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(out)
+        return LaurentPoly._of({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """self * v^k."""
-        out = LaurentPoly()
-        out.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return out
+        return LaurentPoly._of({e + k: c for e, c in self.coeffs.items()})
 
     def bar(self):
         """v -> v^{-1}."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({-e: c for e, c in self.coeffs.items()})
 
     def coeff(self, exp):
         return self.coeffs.get(exp, 0)
@@ -93,7 +110,22 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(obj):
-        return LaurentPoly({int(e): int(c) for e, c in obj.items()})
+        """Inverse of to_json.  Only an object of canonical integer strings
+        to nonzero ints (not bools) parses; anything else raises ValueError
+        or TypeError, never a rounded or truncated polynomial."""
+        if type(obj) is not dict:
+            raise TypeError(
+                f"coefficients must be an object, not {type(obj).__name__}")
+        out = {}
+        for key, c in obj.items():
+            e = int(key)
+            if str(e) != key:
+                raise ValueError(f"exponent {key!r} is not a canonical int")
+            if type(c) is not int or not c:
+                raise ValueError(f"coefficient {c!r} at v^{key} is not a "
+                                 f"nonzero int")
+            out[e] = c
+        return LaurentPoly._of(out)
 
     def __str__(self):
         if not self.coeffs:

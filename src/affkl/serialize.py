@@ -26,10 +26,19 @@ def element_from_str(datum, s):
 
 
 def hecke_from_json(datum, obj):
+    """Inverse of HeckeElt.to_json.  Only an object of element strings to
+    nonzero coefficient maps (LaurentPoly.from_json) parses; anything else
+    raises MalformedDatum, ValueError or TypeError."""
+    if type(obj) is not dict:
+        raise TypeError(
+            f"a Hecke element must be an object, not {type(obj).__name__}")
     terms = {}
     for key, pj in obj.items():
-        terms[element_from_str(datum, key)] = LaurentPoly.from_json(pj)
-    return HeckeElt(datum, terms)
+        p = LaurentPoly.from_json(pj)
+        if not p:
+            raise ValueError(f"zero coefficient at {key!r}")
+        terms[element_from_str(datum, key)] = p
+    return HeckeElt._of(datum, terms)
 
 
 def bimodule_to_json(m, ring):

@@ -207,7 +207,18 @@ def test_criterion_6_multiplicity_consistency():
             for y in elems:
                 assert parity_hom_dim(w, y, table) == tilt_hom_dim(
                     w.inverse(), y.inverse(), table), (p, w, y)
-    _report(6, "parity Hom dims equal tilting Hom dims of inverses", t0, 300)
+    # independent oracle: graded Hom dimensions between the stored
+    # representative bimodules, at v = 1 (covers the torsion element at
+    # length 3)
+    table = tables[2]
+    small = enumerate_elements(gl2, 4)
+    for w in small:
+        for y in small:
+            hom = graded_hom_dims(table.reps[w], table.reps[y])
+            assert hom.eval_at_one() == tilt_hom_dim(
+                w.inverse(), y.inverse(), table), (w, y)
+    _report(6, "parity Hom dims equal tilting Hom dims of inverses and "
+            "Hom dims between representatives", t0, 300)
 
 
 def _finitary_subsets(datum):

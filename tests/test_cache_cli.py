@@ -281,7 +281,28 @@ def test_cli_unparsable_cache_data_exits_5(run_cli, tmp_path):
         doc["reps"][key]["act"][0][0][0] = "1*x9"
         return key
 
-    for tamper in (bad_key, bad_act):
+    def coeffs(value):
+        # the entry of s0 with its own coefficient map replaced by value
+        def damage(doc):
+            doc["entries"]["0;0,0"]["coeffs"]["0;0,0"] = value
+            return "0;0,0"
+        return damage
+
+    def entry_coeffs_as_list(doc):
+        doc["entries"]["0;0,0"]["coeffs"] = [{"0": 1}]
+        return "0;0,0"
+
+    def rep_char(doc):
+        doc["reps"]["0;0,0"]["char"]["0;0,0"] = {"0": 1.5}
+        return "0;0,0"
+
+    # a float, a bool, a zero or a non-canonical exponent must not be read
+    # as a nearby int
+    tampers = (bad_key, bad_act, coeffs({"0": 1.5}), coeffs({"0": True}),
+               coeffs({"0_0": 1}), coeffs({"+0": 1}), coeffs({"0": 1, "2": 0}),
+               coeffs({"0": "1"}), coeffs([1]), coeffs({}),
+               entry_coeffs_as_list, rep_char)
+    for tamper in tampers:
         doc = json.loads(json.dumps(clean))
         key = tamper(doc)
         cache_file.write_text(json.dumps(doc))
@@ -290,6 +311,7 @@ def test_cli_unparsable_cache_data_exits_5(run_cli, tmp_path):
             r = run_cli(args)
             assert r.returncode == 5, (args, r.stderr)
             assert key in r.stderr
+            assert "Traceback" not in r.stderr, r.stderr
 
 
 def _drop(key):

@@ -217,3 +217,37 @@ def test_negative_target_still_raises(gl2, kl_table, monkeypatch):
         f"left-coset sweep broke at z={sa.as_element}: 1 != 0") + "$"
     with pytest.raises(NegativeMultiplicity, match=message):
         mult_table([sa], [], 2, kl_table)
+
+
+# sha256 of the kl-route renders, fixed before the Hecke kernels moved to
+# plain coefficient dicts; the benchmark's goldens stop at lengths 6-7
+_PINNED_RENDERS = {
+    ("A2-sc", (), (), 8): {
+        "json": "f7e2fba229f58aad21adeef7b9e3367a2d5fa9264a48d495cfb9813bdb641bb6",
+        "csv": "7726759f866d537d97e1b52dd2e0be641afe6a9c1ac0d4ef0c51bf1547288642",
+        "text": "9fca9c502c4a647f7f5298ff5fec55cc8ff432a8978b3595b931f61b30685adc",
+        "tex": "c08aa24133156f7a1f227284da6bc7372d3a1b55a5622ec225ea0cd176116945",
+    },
+    ("B2-sc", (0,), (1,), 10): {
+        "json": "a415401201d67588aa03171e01e5f088f4b62776a2c8255669bcdead96088a76",
+        "csv": "fc32a65930f6ac3551f1f764a16602733b621576c91a0bb55f7ebb6db5807c47",
+        "text": "5fd1414077290e5b3239b141c30dea4689de672c51f3e3f1545cce95874dd5e3",
+        "tex": "a38527f39e460636bf169830ee40c333d5cfa49d5faa2e206173e499cc95181c",
+    },
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_RENDERS))
+def test_kl_route_tables_pinned(key):
+    import hashlib
+
+    from affkl import build_root_datum
+
+    name, L, K, max_len = key
+    datum = build_root_datum(name)
+    refls = simple_reflections(datum, conj_search=False)
+    mt = mult_table([refls[i] for i in L], [refls[i] for i in K], max_len,
+                    PCanTable(datum, 0, source="kl"))
+    for fmt, digest in _PINNED_RENDERS[key].items():
+        text = mt.render(fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, fmt
