@@ -170,6 +170,8 @@ def cmd_tilt(args):
         omegas = omega_elements(datum, bound=args.omega_bound)
         sector = "all"
     mt = mult_table(L, K, args.max_len, table, sector=sector, omegas=omegas)
+    # the table names the cache this run leaves on disk
+    cachemod.save_table(table, path)
     mt.metadata.update({
         "tool_version": _version(),
         "cache_hash": cachemod.file_hash(path),
@@ -181,7 +183,6 @@ def cmd_tilt(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    cachemod.save_table(table, path)
     if args.stats:
         stats = dict(table.stats)
         stats["elapsed_s"] = round(time.time() - t0, 6)

@@ -10,7 +10,8 @@ from .weyl import element_from_word, simple_reflections, translation
 
 def element_from_str(datum, s):
     """Inverse of ExtWeylElt.canonical_str: the least word of the finite
-    part, in simple-root indices ("e" when empty), then the translation."""
+    part, in simple-root indices ("e" when empty), then the translation.
+    Any other spelling of an element raises MalformedDatum."""
     try:
         word_part, trans_part = s.split(";")
         word = ([] if word_part == "e"
@@ -22,7 +23,12 @@ def element_from_str(datum, s):
         raise MalformedDatum(
             f"bad element string {s!r}: expected simple-root indices below "
             f"{datum.nsimple} and {datum.rank} coordinates")
-    return element_from_word(datum, word) * translation(datum, lam)
+    w = element_from_word(datum, word) * translation(datum, lam)
+    # one spelling per element, so that two keys never name the same one
+    if w.canonical_str() != s:
+        raise MalformedDatum(f"bad element string {s!r}: the element's "
+                             f"canonical spelling is {w.canonical_str()!r}")
+    return w
 
 
 def hecke_from_json(datum, obj):
@@ -59,12 +65,22 @@ def bimodule_from_json(real, obj):
 
     ring = real.ring
     datum = real.datum
+    # one polynomial per distinct string: nothing mutates a polynomial in
+    # place, so its entries may share it, as they share ring.zero
+    polys = {}
+
+    def parse(e):
+        f = polys.get(e)
+        if f is None:
+            f = polys[e] = ring.parse(e)
+        return f
+
     act = tuple(
-        [[ring.parse(e) for e in row] for row in mat] for mat in obj["act"]
+        [[parse(e) for e in row] for row in mat] for mat in obj["act"]
     )
     labels = tuple(
         (element_from_str(datum, key),
-         tuple(tuple(ring.parse(e) for e in vec) for vec in vecs))
+         tuple(tuple(parse(e) for e in vec) for vec in vecs))
         for key, vecs in obj["labels"]
     )
     hint = (hecke_from_json(datum, obj["char"])
@@ -81,14 +97,17 @@ def json_text(x, indent=1):
     return _json_text(x, "\n", " " * indent)
 
 
+# the encoders of the scalar types, which _json_text also applies inline to
+# the items of a list
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            type(None): lambda x: "null"}
+
+
 def _json_text(x, pad, step):
     t = type(x)
-    if t is str:
-        return encode_basestring_ascii(x)
-    if t is int:
-        return int.__repr__(x)
-    if x is None:
-        return "null"
+    enc = _SCALARS.get(t)
+    if enc is not None:
+        return enc(x)
     inner = pad + step
     if t is dict:
         if any(type(k) is not str for k in x):
@@ -97,8 +116,10 @@ def _json_text(x, pad, step):
             [f"{encode_basestring_ascii(k)}: {_json_text(x[k], inner, step)}"
              for k in sorted(x)]) + pad + "}" if x else "{}"
     if t is list:
+        scalar = _SCALARS.get
         return "[" + inner + ("," + inner).join(
-            [_json_text(v, inner, step) for v in x]) + pad + "]" if x else "[]"
+            [enc(v) if (enc := scalar(type(v))) else _json_text(v, inner, step)
+             for v in x]) + pad + "]" if x else "[]"
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 

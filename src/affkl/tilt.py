@@ -73,7 +73,10 @@ def _check_min_reps(L, K, elements, wl, wk):
 def _parabolic_mult(w, y, values, coset):
     """The signed sum over y's coset of the multiplicities in p-b_{w_L w},
     which must be >= 0."""
-    total = signed_sum(values, coset)
+    return _nonnegative(w, y, signed_sum(values, coset))
+
+
+def _nonnegative(w, y, total):
     if total < 0:
         raise NegativeMultiplicity(
             f"signed sum for ({w}, {y}) came out {total}")
@@ -112,11 +115,21 @@ class MultTable:
     def render_json(self):
         return json_text(self.to_json(), indent=2) + "\n"
 
+    def _cell_rows(self):
+        """The rows in order, each as (w, its cell texts in column order):
+        the entry's text where the row has one, "0" elsewhere."""
+        cells = {}
+        for (w, y), m in self.entries.items():
+            cells.setdefault(w, {})[y] = str(m)
+        cols = self.col_order
+        for w in self.row_order:
+            row = cells.get(w, {})
+            yield w, [row.get(y, "0") for y in cols]
+
     def render_csv(self):
         cols = list(self.col_order)
         lines = ["w\\y," + ",".join(y.canonical_str() for y in cols)]
-        for w in self.row_order:
-            cells = [str(self.entry(w, y)) for y in cols]
+        for w, cells in self._cell_rows():
             lines.append(w.canonical_str() + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -124,9 +137,8 @@ class MultTable:
         cols = list(self.col_order)
         headers = ["w\\y"] + [y.canonical_str() for y in cols]
         rows = [headers]
-        for w in self.row_order:
-            rows.append([w.canonical_str()] +
-                        [str(self.entry(w, y)) for y in cols])
+        for w, cells in self._cell_rows():
+            rows.append([w.canonical_str()] + cells)
         widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
         out = []
         for r in rows:
@@ -139,9 +151,8 @@ class MultTable:
         lines.append(" & ".join(
             ["$w \\backslash y$"] +
             [_tex_label(y) for y in cols]) + r" \\ \hline")
-        for w in self.row_order:
-            lines.append(" & ".join(
-                [_tex_label(w)] + [str(self.entry(w, y)) for y in cols]) + r" \\")
+        for w, cells in self._cell_rows():
+            lines.append(" & ".join([_tex_label(w)] + cells) + r" \\")
         lines.append(r"\end{tabular}")
         return "\n".join(lines) + "\n"
 
@@ -162,7 +173,10 @@ def mult_table(L, K, max_len, table, sector="waff_only", omegas=None):
     """All parahoric multiplicities (w, y) with l(w_L w) <= max_len.
 
     Every entry is also checked against the left-coset sweep: the signed sum
-    over z y W_K for each z in W_L must give the same multiplicity.
+    over z y W_K for each z in W_L must give the same multiplicity.  Row w
+    is read off the support of p-b_{w_L w} alone: each element of it adds its
+    signed value to the sum of the coset y W_K, and of each coset z y W_K,
+    that holds it.
     """
     from .weyl import min_double_coset_reps
 
@@ -185,19 +199,51 @@ def mult_table(L, K, max_len, table, sector="waff_only", omegas=None):
     )
     out.row_order = tuple(reps)
     out.col_order = tuple(reps)
-    # the cosets y W_K and z y W_K (z in W_L) depend on y alone
-    cosets = {y: signed_coset(y, wk_elements) for y in reps}
-    sweeps = {y: [(z, signed_coset(z * y, wk_elements)) for z in wl_elements]
-              for y in reps} if L else {}
+    # z = e gives y W_K itself, so the sweep runs over the other z
+    zs = [z for z in wl_elements if not z.is_identity()]
+    zeros = [0] * len(zs)    # the sweep sums of a coset the row misses
+    # the cosets y W_K of distinct minimal double coset representatives are
+    # disjoint, so each element lies in at most one of them; z y W_K may
+    # coincide for several z, so the sweep keeps every (y, z) it lies in
+    coset_of = {}
+    sweep_of = {}
+    for y in reps:
+        for u, sign in signed_coset(y, wk_elements):
+            coset_of[u] = (y, sign)
+        for k, z in enumerate(zs):
+            for u, sign in signed_coset(z * y, wk_elements):
+                sweep_of.setdefault(u, []).append((y, k, sign))
+    column = {y: i for i, y in enumerate(reps)}
     for w in reps:
-        values = _nonzero_rows(wl * w, table)
-        for y in reps:
-            m = _parabolic_mult(w, y, values, cosets[y])
-            for z, coset in sweeps.get(y, ()):
-                alt = signed_sum(values, coset)
-                if alt != m:
-                    raise NegativeMultiplicity(
-                        f"left-coset sweep broke at z={z}: {alt} != {m}")
-            if m:
-                out.entries[(w, y)] = m
+        sums = {}
+        sweeps = {}    # y -> the signed sums over z y W_K, z in zs order
+        for u, m in _nonzero_rows(wl * w, table).items():
+            hit = coset_of.get(u)
+            if hit is not None:
+                y, sign = hit
+                sums[y] = sums.get(y, 0) + sign * m
+            for y, k, sign in sweep_of.get(u, ()):
+                row = sweeps.get(y)
+                if row is None:
+                    row = sweeps[y] = list(zeros)
+                row[k] += sign * m
+        for y in sums.keys() | sweeps.keys():
+            m = sums.get(y, 0)
+            if m < 0 or any(alt != m for alt in sweeps.get(y, zeros)):
+                _raise_first_failure(w, reps, zs, sums, sweeps)
+        for y in sorted(sums, key=column.__getitem__):
+            if sums[y]:
+                out.entries[(w, y)] = sums[y]
     return out
+
+
+def _raise_first_failure(w, reps, zs, sums, sweeps):
+    """Raise the error of the first failing check of row w, scanning y in
+    row order and, for each y, the sign check and then the sweep in W_L
+    order."""
+    for y in reps:
+        m = _nonnegative(w, y, sums.get(y, 0))
+        for z, alt in zip(zs, sweeps.get(y, [0] * len(zs))):
+            if alt != m:
+                raise NegativeMultiplicity(
+                    f"left-coset sweep broke at z={z}: {alt} != {m}")

@@ -228,6 +228,41 @@ def test_cli_tilt_and_determinism(run_cli):
     assert rbad.returncode == 4
 
 
+def test_cli_tilt_names_the_cache_it_leaves(run_cli, tmp_path):
+    # cache_hash is the hash of the file on disk after the run, both when
+    # the run creates the cache and when it extends it
+    for max_len in ("2", "3"):
+        r = run_cli(["tilt", "--datum", "GL2", "--p", "2", "--max-len",
+                     max_len, "--format", "json"])
+        assert r.returncode == 0, r.stderr
+        cache_file = next((tmp_path / "affkl_cache").glob("*.json"))
+        assert json.loads(r.stdout)["metadata"]["cache_hash"] == \
+            cachemod.file_hash(str(cache_file))
+
+
+def test_cli_omega_form_must_be_canonical(run_cli):
+    ok = run_cli(["pkl", "--datum", "GL2", "--p", "0", "--w", "omega:0;0,1 s0"])
+    assert ok.returncode == 0, ok.stderr
+    r = run_cli(["pkl", "--datum", "GL2", "--p", "0", "--w",
+                 "omega:0;00,1 s0"])
+    assert r.returncode == 2
+    assert "canonical spelling is '0;0,1'" in r.stderr
+
+
+def test_python_m_affkl_runs_the_cli(run_cli, tmp_path, child_env):
+    args = ["tilt", "--datum", "GL2", "--p", "2", "--max-len", "2",
+            "--format", "csv"]
+    expected = run_cli(args)
+    assert expected.returncode == 0, expected.stderr
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    r = subprocess.run([sys.executable, "-m", "affkl"] + args,
+                       capture_output=True, text=True, cwd=fresh,
+                       env=child_env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == expected.stdout
+
+
 def test_cli_tilt_rejects_bad_reflection_sets(run_cli):
     base = ["tilt", "--datum", "GL2", "--p", "2", "--max-len", "1"]
     r = run_cli(base + ["--L", "s9"])
@@ -296,12 +331,29 @@ def test_cli_unparsable_cache_data_exits_5(run_cli, tmp_path):
         doc["reps"]["0;0,0"]["char"]["0;0,0"] = {"0": 1.5}
         return "0;0,0"
 
+    # a second spelling of an element, as an entry, coefficient or label
+    # key, must not be read as the element
+    def entry_key_spelling(doc):
+        doc["entries"]["0;00,0"] = doc["entries"]["0;0,0"]
+        return "0;00,0"
+
+    def coeff_key_spelling(doc):
+        doc["entries"]["0;0,0"]["coeffs"]["0;00,0"] = {"1": 5}
+        return "0;0,0"
+
+    def label_key_spelling(doc):
+        labels = doc["reps"]["0;0,0"]["labels"]
+        assert labels[0][0] == "e;0,0"
+        labels[0][0] = "0.0;0,0"
+        return "0;0,0"
+
     # a float, a bool, a zero or a non-canonical exponent must not be read
     # as a nearby int
     tampers = (bad_key, bad_act, coeffs({"0": 1.5}), coeffs({"0": True}),
                coeffs({"0_0": 1}), coeffs({"+0": 1}), coeffs({"0": 1, "2": 0}),
                coeffs({"0": "1"}), coeffs([1]), coeffs({}),
-               entry_coeffs_as_list, rep_char)
+               entry_coeffs_as_list, rep_char, entry_key_spelling,
+               coeff_key_spelling, label_key_spelling)
     for tamper in tampers:
         doc = json.loads(json.dumps(clean))
         key = tamper(doc)

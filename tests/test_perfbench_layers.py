@@ -66,12 +66,19 @@ def test_recorder_wraps_and_restores_every_entry_point():
             assert not any(_is_wrapper(v) for v in vars(mod).values()), name
 
 
-def test_kl_route_tables_make_no_bimodule_or_linalg_calls():
-    # the tables workload fails a traced run if these layers are reached
-    from affkl import build_root_datum, tilt
+def test_kl_route_tables_make_no_bimodule_or_linalg_calls(tmp_path):
+    # the tables workload fails a traced run if these layers are reached:
+    # neither a kl-route table nor one loaded from a saved cache may reach them
+    from affkl import build_root_datum, cache, tilt
     from affkl.soergel import PCanTable
-    from affkl.weyl import simple_reflections
+    from affkl.weyl import enumerate_elements, simple_reflections
 
+    gl2 = build_root_datum("GL2")
+    saved = PCanTable(gl2, 2)
+    for w in enumerate_elements(gl2, 3):
+        saved.ensure(w)
+    path = str(tmp_path / "gl2-p2.json")
+    cache.save_table(saved, path)
     layers = _load_layers()
     rec = layers.Recorder()
     rec.install()
@@ -79,9 +86,13 @@ def test_kl_route_tables_make_no_bimodule_or_linalg_calls():
         table = PCanTable(build_root_datum("A2-sc"), 0, source="kl")
         refls = simple_reflections(table.datum, conj_search=False)
         mt = tilt.mult_table([refls[0]], [refls[1], refls[2]], 4, table)
+        loaded = cache.load_table(path, datum=gl2)
+        s0 = simple_reflections(gl2, conj_search=False)[0]
+        mt_loaded = tilt.mult_table([], [s0], 3, loaded)
     finally:
         rec.uninstall()
-    assert mt.entries
+    assert mt.entries and mt_loaded.entries
+    assert rec.entry_calls["cache.load_table"] == 1
     assert rec.calls["tilt"] and rec.calls["weyl"]
     for layer in ("bimodule", "homs", "linalg", "fdalg"):
         assert rec.calls[layer] == 0, layer

@@ -158,29 +158,45 @@ def test_graded_to_ungraded_collapse(gl2, kl_table, p2_table):
                 assert tilt_mult(w, y, table) == sum(h.coeffs.values())
 
 
-def _oracle_parabolic(wl, wk_elements, w, y):
-    """The signed sum at y, straight from the KL basis of w_L w."""
-    from affkl.hecke import canonical_basis
-
-    b = canonical_basis(wl * w)
+def _oracle_parabolic(basis, wl, wk_elements, w, y):
+    """The signed sum at y, straight from the basis element of w_L w."""
+    b = basis(wl * w)
     return sum((-1) ** x.length * b.coeff(y * x).eval_at_one()
                for x in wk_elements)
 
 
+# "datum" on the kl route, "datum/p2" on the bimodule route at p = 2, and
+# "datum/all" on the kl route with every length-zero sector of bound 1
 @pytest.mark.parametrize("name, L, K", (("A2-sc", (0,), (1, 2)),
-                                        ("B2-sc", (0,), (1,))))
+                                        ("B2-sc", (0,), (1,)),
+                                        ("A2-sc", (), ()),
+                                        ("G2-sc", (0,), (1,)),
+                                        ("GL2/p2", (), (0,)),
+                                        ("GL2/all", (0,), ())))
 def test_mult_table_matches_per_pair(name, L, K):
     from affkl import build_root_datum
-    from affkl.weyl import finitary_data_over, min_double_coset_reps
+    from affkl.hecke import canonical_basis
+    from affkl.soergel import p_canonical
+    from affkl.weyl import (finitary_data_over, in_waff,
+                            min_double_coset_reps, omega_elements)
 
-    d = build_root_datum(name)
-    table = PCanTable(d, 0, source="kl")
+    dname, _, variant = name.partition("/")
+    d = build_root_datum(dname)
+    if variant == "p2":
+        table = PCanTable(d, 2)
+        basis = lambda x: p_canonical(x, table)   # noqa: E731
+    else:
+        table = PCanTable(d, 0, source="kl")
+        basis = canonical_basis
+    sector, omegas = (("all", omega_elements(d, bound=1)) if variant == "all"
+                      else ("waff_only", None))
     refls = simple_reflections(d, conj_search=False)
     Ls, Ks = [refls[i] for i in L], [refls[i] for i in K]
-    mt = mult_table(Ls, Ks, 5, table)
+    mt = mult_table(Ls, Ks, 5, table, sector=sector, omegas=omegas)
     wl_elements, wl = finitary_data_over(d, Ls)
     wk_elements, _ = finitary_data_over(d, Ks)
-    reps = [w for w in min_double_coset_reps(Ls, Ks, 5, datum=d)
+    reps = [w for w in min_double_coset_reps(Ls, Ks, 5, datum=d,
+                                             sector=sector, omegas=omegas)
             if (wl * w).length <= 5]
     assert list(mt.row_order) == reps and len(reps) > 3
     nonzero = 0
@@ -188,9 +204,11 @@ def test_mult_table_matches_per_pair(name, L, K):
         for y in reps:
             m = parabolic_tilt_mult(Ls, Ks, w, y, table, strict=True)
             assert mt.entry(w, y) == m == _oracle_parabolic(
-                wl, wk_elements, w, y), (w, y)
+                basis, wl, wk_elements, w, y), (w, y)
             nonzero += m != 0
     assert nonzero == len(mt.entries) > len(reps)
+    if variant == "all":
+        assert not all(in_waff(w) for w in reps)
 
 
 def test_negative_target_still_raises(gl2, kl_table, monkeypatch):
@@ -215,6 +233,13 @@ def test_negative_target_still_raises(gl2, kl_table, monkeypatch):
         gl2, {sa.as_element: ONE}))
     message = "^" + re.escape(
         f"left-coset sweep broke at z={sa.as_element}: 1 != 0") + "$"
+    with pytest.raises(NegativeMultiplicity, match=message):
+        mult_table([sa], [], 2, kl_table)
+    # and a target at e alone reads 1 on e W_K but 0 on s_a e W_K
+    monkeypatch.setattr(tilt, "p_canonical", lambda x, table: HeckeElt(
+        gl2, {e: ONE}))
+    message = "^" + re.escape(
+        f"left-coset sweep broke at z={sa.as_element}: 0 != 1") + "$"
     with pytest.raises(NegativeMultiplicity, match=message):
         mult_table([sa], [], 2, kl_table)
 

@@ -276,10 +276,23 @@ def test_serialization_round_trip(gl2):
     "1;0,0",       # GL2 has one simple root: index 1 is no finite letter
     "1;0",         # short translation
     "1;0,0,5",     # long translation
+    "0;00,0",      # s0 with a padded coordinate
+    "0;+0, 0",     # s0 with a signed and a spaced coordinate
+    "0.0;0,0",     # a non-reduced word for e
 ])
 def test_element_from_str_rejects_malformed(gl2, text):
     with pytest.raises(MalformedDatum):
         element_from_str(gl2, text)
+
+
+def test_element_from_str_names_the_canonical_spelling(gl2):
+    from affkl.serialize import hecke_from_json
+
+    with pytest.raises(MalformedDatum, match="canonical spelling is 'e;0,0'"):
+        element_from_str(gl2, "0.0;0,0")
+    # a second spelling of a key no longer overwrites the first
+    with pytest.raises(MalformedDatum, match="'0;00,0'"):
+        hecke_from_json(gl2, {"0;0,0": {"0": 1}, "0;00,0": {"1": 5}})
 
 
 REGISTRY = ("GL2", "GL3", "A1-sc", "A1-adj", "A1xA1-sc", "A2-sc", "A3-sc",
