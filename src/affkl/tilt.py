@@ -60,20 +60,14 @@ def parabolic_tilt_mult(L, K, w, y, table, strict=True):
     wk_elements, wk = finitary_data_over(datum, K)
     if strict:
         _check_min_reps(L, K, (w, y), wl, wk)
-    return _parabolic_mult(w, y, _nonzero_rows(wl * w, table),
-                           signed_coset(y, wk_elements))
+    return _nonnegative(w, y, signed_sum(_nonzero_rows(wl * w, table),
+                                         signed_coset(y, wk_elements)))
 
 
 def _check_min_reps(L, K, elements, wl, wk):
     for x in elements:
         if not is_min_double_coset_rep(L, K, x, wl=wl, wk=wk):
             raise NotMinimalRep(f"{x} is not in the minimal coset set")
-
-
-def _parabolic_mult(w, y, values, coset):
-    """The signed sum over y's coset of the multiplicities in p-b_{w_L w},
-    which must be >= 0."""
-    return _nonnegative(w, y, signed_sum(values, coset))
 
 
 def _nonnegative(w, y, total):
@@ -227,23 +221,14 @@ def mult_table(L, K, max_len, table, sector="waff_only", omegas=None):
                 if row is None:
                     row = sweeps[y] = list(zeros)
                 row[k] += sign * m
-        for y in sums.keys() | sweeps.keys():
-            m = sums.get(y, 0)
-            if m < 0 or any(alt != m for alt in sweeps.get(y, zeros)):
-                _raise_first_failure(w, reps, zs, sums, sweeps)
-        for y in sorted(sums, key=column.__getitem__):
-            if sums[y]:
-                out.entries[(w, y)] = sums[y]
+        # a y the row misses has m = 0 and every sweep sum 0, so checking
+        # the touched y in column order raises the first failure of the row
+        for y in sorted(sums.keys() | sweeps.keys(), key=column.__getitem__):
+            m = _nonnegative(w, y, sums.get(y, 0))
+            for z, alt in zip(zs, sweeps.get(y, zeros)):
+                if alt != m:
+                    raise NegativeMultiplicity(
+                        f"left-coset sweep broke at z={z}: {alt} != {m}")
+            if m:
+                out.entries[(w, y)] = m
     return out
-
-
-def _raise_first_failure(w, reps, zs, sums, sweeps):
-    """Raise the error of the first failing check of row w, scanning y in
-    row order and, for each y, the sign check and then the sweep in W_L
-    order."""
-    for y in reps:
-        m = _nonnegative(w, y, sums.get(y, 0))
-        for z, alt in zip(zs, sweeps.get(y, [0] * len(zs))):
-            if alt != m:
-                raise NegativeMultiplicity(
-                    f"left-coset sweep broke at z={z}: {alt} != {m}")
