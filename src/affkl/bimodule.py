@@ -164,7 +164,9 @@ def tensor(m, n):
     on the m factor by sum_mu c_mu A^mu, where A^mu is the product of m's
     action matrices: each A^mu is built once per product, as a lower
     monomial's matrix times one action matrix, and shared by every g and
-    every entry."""
+    every entry.  Each A^mu keeps the positions (k, i) where it is
+    nonzero, and only the union of these over the mu of an entry is
+    computed; every other position stays ring.zero."""
     if m.real is not n.real:
         raise RealizationMismatch("tensor factors over different realizations")
     ring = m.real.ring
@@ -172,14 +174,21 @@ def tensor(m, n):
     size = nm * nn
     degrees = tuple(m.degrees[i] + n.degrees[j]
                     for i in range(nm) for j in range(nn))
-    memo = {(0,) * ring.nvars: [[ring.one if i == k else ring.zero
-                                 for i in range(nm)] for k in range(nm)]}
+    # monomial -> (A^mu, the positions (k, i) of its nonzero entries);
+    # A^mu of x_t is m's action matrix for x_t itself
+    memo = {(0,) * ring.nvars: (
+        [[ring.one if i == k else ring.zero for i in range(nm)]
+         for k in range(nm)],
+        {(k, k) for k in range(nm)})}
 
     def mono_mat(mu):
         if mu not in memo:
             t = next(i for i, e in enumerate(mu) if e)
             lower = mu[:t] + (mu[t] - 1,) + mu[t + 1:]
-            memo[mu] = ring.mat_mul(mono_mat(lower), m.act[t])
+            a = (ring.mat_mul(mono_mat(lower)[0], m.act[t]) if any(lower)
+                 else m.act[t])
+            memo[mu] = (a, {(k, i) for k, row in enumerate(a)
+                             for i, x in enumerate(row) if x})
         return memo[mu]
 
     acts = []
@@ -190,10 +199,9 @@ def tensor(m, n):
                 if not entry:
                     continue
                 terms = [(c, mono_mat(mu)) for mu, c in entry.items()]
-                for k in range(nm):
-                    for i in range(nm):
-                        big[k * nn + l][i * nn + j] = ring.lincomb(
-                            (c, a[k][i]) for c, a in terms)
+                for k, i in set().union(*[nz for _, (_, nz) in terms]):
+                    big[k * nn + l][i * nn + j] = ring.lincomb(
+                        [(c, a[k][i]) for c, (a, _) in terms])
         acts.append(big)
     labels = {}
     for u, xs in m.labels:
@@ -223,9 +231,12 @@ def transport(m, omega):
 
     With omega^-1 . x_g = sum_h c_gh x_h, the action of x_g becomes
     omega(sum_h c_gh act_h) = sum_h c_gh omega(act_h), with omega applied
-    once to each act_h, entry by entry; each label w becomes
-    omega w omega^-1 with its vectors v mapped to omega(v), and the character
-    is relabelled the same way.  Degrees and word length are unchanged.
+    once to each nonzero entry of each act_h; the sum is formed only at the
+    positions where some omega(act_h) is nonzero, and when omega^-1 sends
+    x_g to a single x_h (as a permutation of the coordinates does, e.g. for
+    GL_n) it is omega(act_h) itself.  Each label w becomes omega w omega^-1
+    with its vectors v mapped to omega(v), and the character is relabelled
+    the same way.  Degrees and word length are unchanged.
     """
     if omega.length != 0:
         raise NotLengthZero(f"omega has length {omega.length}")
@@ -233,17 +244,24 @@ def transport(m, omega):
     ring = real.ring
     fmat = real.fin_action_matrix(omega)
     inv = omega.inverse()
-    moved = [[[ring.apply_linear(x, fmat) for x in row] for row in a]
-             for a in m.act]
+    moved = [[[ring.apply_linear(x, fmat) if x else x for x in row]
+               for row in a] for a in m.act]
     acts = []
     for g in range(real.dim):
         terms = [(c, moved[mu.index(1)])
                  for mu, c in real.act_poly(inv, ring.gen(g)).items()]
-        acts.append([[ring.lincomb((c, a[k][i]) for c, a in terms)
-                      for i in range(m.rank)] for k in range(m.rank)])
+        if len(terms) == 1 and terms[0][0] == ring.field.one:
+            acts.append(terms[0][1])
+            continue
+        act = [[ring.zero] * m.rank for _ in range(m.rank)]
+        for k, i in {(k, i) for _, a in terms for k, row in enumerate(a)
+                     for i, x in enumerate(row) if x}:
+            act[k][i] = ring.lincomb([(c, a[k][i]) for c, a in terms])
+        acts.append(act)
     labels = tuple(
         (omega * w * inv,
-         tuple(tuple(ring.apply_linear(x, fmat) for x in v) for v in vecs))
+         tuple(tuple(ring.apply_linear(x, fmat) if x else x for x in v)
+               for v in vecs))
         for w, vecs in m.labels)
     hint = None
     if m.char_hint is not None:

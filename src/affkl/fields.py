@@ -8,9 +8,11 @@ keeps polynomial dictionaries light and lets the mod-p linear algebra hand
 coefficients to numpy directly.
 
 Kernels that sum many products (`polys.PolyRing`) accumulate coefficients
-unreduced, with Python `+` and `*` on field elements, and call the field's
-`reduce` once per result: it maps any such sum of products to the canonical
-element it equals (`% p` over GF(p), `_canonical` over Q).
+unreduced, with Python `+` and `*` on field elements, into one dict
+{monomial: raw sum}, and hand the whole accumulator to the field's
+`reduce_terms` once per result: one comprehension maps each raw sum to the
+canonical element it equals (`% p` over GF(p), `_canonical` over Q) and
+drops the zeros.  `reduce` does the same for a single value.
 """
 
 from fractions import Fraction
@@ -44,6 +46,9 @@ class Rationals:
 
     def reduce(self, a):
         return _canonical(a)
+
+    def reduce_terms(self, acc):
+        return {m: _canonical(c) for m, c in acc.items() if c}
 
     def inv(self, a):
         return _canonical(Fraction(1, a))
@@ -86,6 +91,10 @@ class PrimeField:
 
     def reduce(self, a):
         return a % self.char
+
+    def reduce_terms(self, acc):
+        p = self.char
+        return {m: r for m, c in acc.items() if (r := c % p)}
 
     def inv(self, a):
         return pow(a, self.char - 2, self.char)

@@ -7,8 +7,19 @@ through PolyRing methods so the same code runs over Q and GF(p).
 
 Sums of products (`mul`, `mul_sub`, `dot`, `lincomb` and the matrix and
 substitution kernels built on them) accumulate raw coefficients with Python
-`+` and `*` into one dict and reduce each output monomial once, through
-`field.reduce`, dropping the zeros there.
+`+` and `*` into one dict and reduce that accumulator once, through
+`field.reduce_terms`, which drops the zeros.
+
+A polynomial is an immutable value: no code mutates a polynomial dict in
+place once it has been returned (the only in-place writes are to dicts a
+function builds for itself before returning them).  So any kernel may
+return an input, or an image kept on the ring, itself rather than a copy,
+and any number of matrix entries, label vectors and saved or loaded
+bimodules may share one dict.  The kernels use this to skip work that
+cannot change the result: `lincomb` drops zero polynomials and returns a
+lone term of coefficient one as that polynomial; `mul` by one returns the
+other factor; `apply_linear` returns the kept image of a monomial of
+coefficient one; `dot` returns `{}` when no pair contributes.
 """
 
 from operator import add
@@ -23,7 +34,7 @@ class PolyRing:
         self.zero = {}
         self.one = {(0,) * nvars: field.one}
         self._images = {}       # substitution matrix -> {monomial: image}
-        self._mono_str = {}     # monomial -> its "x0^2*x1" text
+        self._term_str = {}     # (monomial, coefficient) -> "c*x0^2*x1"
 
     # -- construction -----------------------------------------------------
 
@@ -70,16 +81,6 @@ class PolyRing:
             return {}
         return {m: self.field.mul(c, x) for m, x in f.items()}
 
-    def _reduce(self, acc):
-        """acc with each coefficient reduced once and the zeros dropped."""
-        red = self.field.reduce
-        out = {}
-        for m, c in acc.items():
-            c = red(c)
-            if c:
-                out[m] = c
-        return out
-
     @staticmethod
     def _gather(acc, f, g, scale=1):
         """acc += scale * f * g, unreduced."""
@@ -91,27 +92,40 @@ class PolyRing:
         return acc
 
     def mul(self, f, g):
-        return self._reduce(self._gather({}, f, g))
+        if g == self.one:
+            return f
+        if f == self.one:
+            return g
+        return self.field.reduce_terms(self._gather({}, f, g))
 
     def mul_sub(self, a, b, c, d):
         """a * b - c * d."""
-        return self._reduce(self._gather(self._gather({}, a, b), c, d, -1))
+        return self.field.reduce_terms(
+            self._gather(self._gather({}, a, b), c, d, -1))
 
     def dot(self, fs, gs):
         """sum of f * g over the pairs of fs and gs."""
         acc = {}
+        get = acc.get
         for f, g in zip(fs, gs):
             if f and g:
-                self._gather(acc, f, g)
-        return self._reduce(acc)
+                for m1, c1 in f.items():
+                    for m2, c2 in g.items():
+                        m = tuple(map(add, m1, m2))
+                        acc[m] = get(m, 0) + c1 * c2
+        return self.field.reduce_terms(acc) if acc else {}
 
     def lincomb(self, terms):
         """sum of c * f over the (field element c, polynomial f) pairs."""
+        terms = [(c, f) for c, f in terms if f]
+        if len(terms) == 1 and terms[0][0] == self.field.one:
+            return terms[0][1]
         acc = {}
+        get = acc.get
         for c, f in terms:
             for m, x in f.items():
-                acc[m] = acc.get(m, 0) + c * x
-        return self._reduce(acc)
+                acc[m] = get(m, 0) + c * x
+        return self.field.reduce_terms(acc)
 
     def is_zero(self, f):
         return not f
@@ -138,8 +152,9 @@ class PolyRing:
         images = self._images.get(mat)
         if images is None:
             images = self._images[mat] = {(0,) * self.nvars: self.one}
-        return self.lincomb((c, images.get(m) or self._image(m, images, mat))
-                            for m, c in f.items())
+        # a lone monomial of coefficient one comes back as its kept image
+        return self.lincomb([(c, images.get(m) or self._image(m, images, mat))
+                             for m, c in f.items()])
 
     def _image(self, m, images, mat):
         """The image of the monomial m, kept in images: that of m / x_i
@@ -193,17 +208,21 @@ class PolyRing:
     def to_str(self, f):
         if not f:
             return "0"
-        parts = []
-        for m in sorted(f, reverse=True):
-            vars_part = self._mono_str.get(m)
-            if vars_part is None:
-                vars_part = self._mono_str[m] = "*".join(
-                    f"x{i}" if e == 1 else f"x{i}^{e}"
-                    for i, e in enumerate(m) if e
-                )
-            cs = self.field.to_str(f[m])
-            parts.append(f"{cs}*{vars_part}" if vars_part else cs)
-        return " + ".join(parts)
+        known = self._term_str
+        if len(f) == 1:
+            (t,) = f.items()
+            return known.get(t) or self._term_text(t)
+        return " + ".join([known.get(t) or self._term_text(t)
+                           for t in sorted(f.items(), reverse=True)])
+
+    def _term_text(self, term):
+        """The text of a (monomial, coefficient) pair, kept on the ring."""
+        m, c = term
+        vars_part = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}"
+                             for i, e in enumerate(m) if e)
+        cs = self.field.to_str(c)
+        text = self._term_str[term] = f"{cs}*{vars_part}" if vars_part else cs
+        return text
 
     def parse(self, s):
         s = s.strip()

@@ -5,13 +5,17 @@ from json.encoder import encode_basestring_ascii
 from .errors import MalformedDatum
 from .hecke import HeckeElt
 from .laurent import LaurentPoly
-from .weyl import element_from_word, simple_reflections, translation
+from .weyl import (element_from_word, element_named, simple_reflections,
+                   translation)
 
 
 def element_from_str(datum, s):
     """Inverse of ExtWeylElt.canonical_str: the least word of the finite
     part, in simple-root indices ("e" when empty), then the translation.
     Any other spelling of an element raises MalformedDatum."""
+    w = element_named(datum, s)
+    if w is not None:
+        return w
     try:
         word_part, trans_part = s.split(";")
         word = ([] if word_part == "e"
@@ -65,8 +69,8 @@ def bimodule_from_json(real, obj):
 
     ring = real.ring
     datum = real.datum
-    # one polynomial per distinct string: nothing mutates a polynomial in
-    # place, so its entries may share it, as they share ring.zero
+    # one polynomial per distinct string, shared by its entries: polynomials
+    # are immutable values (see the polys module docstring)
     polys = {}
 
     def parse(e):

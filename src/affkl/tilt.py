@@ -12,7 +12,8 @@ from .errors import NegativeMultiplicity, NotMinimalRep, SupportIncomplete
 from .hecke import signed_coset, signed_sum
 from .serialize import json_text
 from .soergel import p_canonical, p_kl
-from .weyl import finitary_data_over, is_min_double_coset_rep, longest_element
+from .weyl import (ExtWeylElt, finitary_data_over, is_min_double_coset_rep,
+                   longest_element)
 
 
 def tilt_mult(w, y, table):
@@ -92,11 +93,16 @@ class MultTable:
         return self.entries.get((w, y), 0)
 
     def to_json(self):
-        rows = []
-        for (w, y), m in sorted(
-                self.entries.items(),
-                key=lambda t: t[0][0].sort_key() + t[0][1].sort_key()):
-            rows.append([w.canonical_str(), y.canonical_str(), m])
+        # the entries in (w, y) order by sort_key: each element is ranked
+        # once, and each entry sorts on the one int rank(w) * n + rank(y)
+        rank = {x: k for k, x in enumerate(sorted(
+            {x for pair in self.entries for x in pair},
+            key=ExtWeylElt.sort_key))}
+        n = len(rank)
+        rows = [[w.canonical_str(), y.canonical_str(), m]
+                for (w, y), m in sorted(
+                    self.entries.items(),
+                    key=lambda t: rank[t[0][0]] * n + rank[t[0][1]])]
         return {
             "datum": self.datum_fingerprint,
             "p": self.characteristic,

@@ -118,6 +118,7 @@ class ExtWeylElt:
         if self._str is None:
             word = ".".join(str(i) for i in self.fin_word()) or "e"
             self._str = word + ";" + ",".join(str(x) for x in self.trans)
+            self._t.named[self._str] = self
         return self._str
 
     def sort_key(self):
@@ -164,6 +165,8 @@ class _Table:
         self.mats, self.inv, self.invmat = [], [], []
         self.signs, self.words, self.prod, self.elts = [], [], [], []
         self.ids = {}
+        # canonical_str() -> element, for every string made so far
+        self.named = {}
         self._list_finite_group()
         self.identity = self.get(0, (0,) * datum.rank)
 
@@ -246,6 +249,13 @@ class _OutsideWf:
 def wid(datum):
     """The identity element."""
     return _table(datum).identity
+
+
+def element_named(datum, s):
+    """The element whose canonical_str() is s, once that string has been
+    made, else None.  Only canonical spellings are kept, so any other
+    spelling of an element misses."""
+    return _table(datum).named.get(s)
 
 
 def translation(datum, lam):

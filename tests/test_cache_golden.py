@@ -14,6 +14,7 @@ header and entries, the same representative keys, degrees and characters,
 and representatives isomorphic at shift 0.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -54,6 +55,29 @@ def test_saved_document_matches_golden(name, p, max_len, tmp_path):
     old_table = cachemod.load_table(str(old_path), datum=datum)
     for w, rep in table.reps.items():
         assert is_shifted_iso(rep, old_table.reps[w], 0), w.canonical_str()
+
+
+@pytest.mark.parametrize("name,p,max_len,size,sha256", [
+    ("GL3", 2, 4, 228083,
+     "2caa89f3cbbf025e114060ea7859e593f2daa4c2d4fb00f3f16806b8a6f53608"),
+    ("GL2", 3, 5, 42698,
+     "e0282c5447d5119782cc5ada9743897e80291cf262b0a59431dc17b03d2be943"),
+    ("A2-sc", 0, 4, 202917,
+     "41c15538d388c5d7741ea052dfd8ea7a95aa580a5bcb7ca3f26bc7868f31e7f8"),
+])
+def test_saved_document_hash_at_workload_sizes(name, p, max_len, size, sha256,
+                                               tmp_path):
+    """Saved documents too large for a golden file, pinned by SHA-256: GL3
+    representatives of rank above 4 and the transported summands of its
+    length-3 split, GL2 p=3 up to length 5 and A2-sc p=0 up to length 4."""
+    datum = build_root_datum(name)
+    table = PCanTable(datum, p)
+    for u in enumerate_elements(datum, max_len):
+        table.ensure(u)
+    path = tmp_path / "cache.json"
+    cachemod.save_table(table, str(path))
+    data = path.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha256)
 
 
 def _writer_docs(tmp_path):

@@ -150,6 +150,24 @@ def _ref_apply_linear(ring, f, mat):
     return out
 
 
+def _ref_lincomb(fld, terms):
+    out = {}
+    for c, f in terms:
+        out = _ref_add(fld, out, {m: fld.mul(c, x) for m, x in f.items()})
+    return out
+
+
+def _ref_str(f):
+    if not f:
+        return "0"
+    parts = []
+    for m in sorted(f, reverse=True):
+        mono = "*".join(f"x{i}" if e == 1 else f"x{i}^{e}"
+                        for i, e in enumerate(m) if e)
+        parts.append(f"{f[m]}*{mono}" if mono else str(f[m]))
+    return " + ".join(parts)
+
+
 def _coeff(fld, rng):
     if fld.char:
         return rng.randrange(fld.char)
@@ -210,6 +228,30 @@ def test_kernels_match_per_term_reference(fld):
                 for j in range(m)] for row in a]
         assert ring.mat_mul(a, b) == ref
         assert ring.mat_vec(a, v) == [_ref_dot(fld, row, v) for row in a]
+    # the inputs the shortcuts take: zero polynomials and a lone term of
+    # coefficient one in lincomb, one-term polynomials under a permutation
+    # and under a non-monomial matrix, and to_str's kept term texts
+    one, zero = fld.one, fld.zero
+    perm = tuple(tuple(one if j == (i + 1) % 3 else zero for j in range(3))
+                 for i in range(3))
+    mixed = ((one, one, zero), (zero, one, zero), (zero, one, one))
+    for _ in range(60):
+        f, g = (_rand_poly(ring, rng, rng.randrange(3)) for _ in range(2))
+        c = _coeff(fld, rng)
+        for terms in ([(c, {}), (one, f)], [(one, f)], [(one, f), (c, {})],
+                      [(c, f), (one, {}), (c, g)], [(one, {})], []):
+            assert ring.lincomb(terms) == _ref_lincomb(fld, terms)
+            _assert_canonical(fld, ring.lincomb(terms))
+        if f:
+            assert ring.lincomb([(zero, {}), (one, f)]) is f
+        mono = tuple(rng.randrange(3) for _ in range(3))
+        for term in ({mono: one}, {mono: c} if c else {}):
+            for mat in (perm, mixed):
+                assert (ring.apply_linear(term, mat)
+                        == _ref_apply_linear(ring, term, mat))
+        for h in (f, g, {mono: one}):
+            assert ring.to_str(h) == ring.to_str(h) == _ref_str(h)
+            assert ring.parse(ring.to_str(h)) == h
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=repr)

@@ -43,6 +43,51 @@ def _table(name, p, max_len, cls=PCanTable):
     return _TABLES[key]
 
 
+def _snapshot(table):
+    """(polynomial, copy) for every polynomial dict that the table's
+    representatives, its B_s objects and its ring's substitution images
+    hold: the copies show any later in-place change."""
+    real = table.real
+    out = []
+    for m in (*table.reps.values(), *real._b_cache.values()):
+        for mat in m.act:
+            for row in mat:
+                out.extend((f, dict(f)) for f in row)
+        for _, vecs in m.labels:
+            for v in vecs:
+                out.extend((f, dict(f)) for f in v)
+    for images in real.ring._images.values():
+        out.extend((f, dict(f)) for f in images.values())
+    return out
+
+
+@pytest.mark.parametrize("name, p, first, last", [
+    ("GL3", 2, 3, 4), ("A2-sc", 0, 2, 3)])
+def test_shared_polynomials_stay_unchanged(name, p, first, last, tmp_path):
+    """Kernels return inputs and kept images themselves, so matrix entries,
+    label vectors and transported representatives share polynomial dicts:
+    computing more, saving, loading and extending the loaded table must
+    leave every polynomial seen before as it was."""
+    datum = build_root_datum(name)
+    table = PCanTable(datum, p)
+    for u in enumerate_elements(datum, first):
+        table.ensure(u)
+    assert table.stats["transported"] and table.real.ring._images
+    snaps = _snapshot(table)
+    for u in enumerate_elements(datum, last):
+        table.ensure(u)
+    snaps += _snapshot(table)
+    path = tmp_path / "cache.json"
+    cachemod.save_table(table, str(path))
+    loaded = cachemod.load_table(str(path), datum=datum)
+    snaps += _snapshot(loaded)
+    for u in enumerate_elements(datum, last + 1):
+        loaded.ensure(u)
+    assert loaded.stats["transported"]
+    changed = [before for f, before in snaps if f != before]
+    assert not changed, f"{len(changed)} of {len(snaps)} polynomials changed"
+
+
 @pytest.mark.parametrize("name, p, max_len", [
     ("GL2", 2, 4), ("GL2", 3, 3), ("GL3", 2, 3), ("A2-sc", 0, 3),
     ("B2-sc", 0, 3)])

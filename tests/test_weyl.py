@@ -283,6 +283,13 @@ def test_serialization_round_trip(gl2):
 def test_element_from_str_rejects_malformed(gl2, text):
     with pytest.raises(MalformedDatum):
         element_from_str(gl2, text)
+    # parsed strings are remembered by element, but only canonical ones: a
+    # second spelling of an element whose canonical string was parsed
+    # before still raises
+    for canonical in ("e;0,0", "0;0,0"):
+        element_from_str(gl2, canonical)
+    with pytest.raises(MalformedDatum):
+        element_from_str(gl2, text)
 
 
 def test_element_from_str_names_the_canonical_spelling(gl2):
